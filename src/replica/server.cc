@@ -70,10 +70,9 @@ bool Server::apply_write(const WriteRequest& w) {
     case FaultMode::kForge:
     case FaultMode::kCollude:
       // Pretends to accept (acks) but does not durably adopt; it keeps the
-      // record only in first_store_ so stale replay has something genuine.
-      if (first_store_.count(w.record.variable) == 0) {
-        first_store_.emplace(w.record.variable, w.record);
-      }
+      // record only as the variable's first, so stale replay has something
+      // genuine.
+      store_.try_emplace(w.record, kFirstOnly);
       return true;
     case FaultMode::kCrash:
       break;
@@ -97,10 +96,9 @@ bool Server::serve_read(const ReadRequest& r, ReadReply& reply) {
     case FaultMode::kSuppress:
       return false;
     case FaultMode::kStaleReplay: {
-      const auto it = first_store_.find(r.variable);
-      if (it != first_store_.end()) {
+      if (const auto* slot = store_.find(r.variable)) {
         reply.has_value = true;
-        reply.record = it->second;  // genuine tag, stale timestamp
+        reply.record = first_of(*slot);  // genuine tag, stale timestamp
       }
       return true;
     }
@@ -125,25 +123,39 @@ bool Server::serve_read(const ReadRequest& r, ReadReply& reply) {
 }
 
 const crypto::SignedRecord* Server::find(VariableId variable) const {
-  const auto it = store_.find(variable);
-  return it == store_.end() ? nullptr : &it->second;
+  const auto* slot = store_.find(variable);
+  return slot == nullptr || store_.mark(*slot) == kFirstOnly ? nullptr : slot;
+}
+
+const crypto::SignedRecord& Server::first_of(
+    const crypto::SignedRecord& slot) const {
+  if (store_.mark(slot) != kFirstAside) return slot;
+  const auto* first = first_aside_.find(slot.variable);
+  PQS_CHECK(first != nullptr);
+  return *first;
 }
 
 bool Server::adopt(const crypto::SignedRecord& record) {
-  first_store_.try_emplace(record.variable, record);
-  auto [it, inserted] = store_.try_emplace(record.variable, record);
+  const auto [slot, inserted] = store_.try_emplace(record, kFirstIsLatest);
   if (inserted) return true;
-  if (record.timestamp > it->second.timestamp) {
-    it->second = record;
-    return true;
+  const Mark mark = static_cast<Mark>(store_.mark(*slot));
+  // A record held only while faulty never counted as the latest, so the
+  // first honest record replaces it whatever its timestamp.
+  if (mark != kFirstOnly && record.timestamp <= slot->timestamp) return false;
+  if (mark != kFirstAside) {
+    first_aside_.try_emplace(*slot);
+    store_.set_mark(*slot, kFirstAside);
   }
-  return false;
+  *slot = record;
+  return true;
 }
 
 std::vector<crypto::SignedRecord> Server::snapshot() const {
   std::vector<crypto::SignedRecord> out;
   out.reserve(store_.size());
-  for (const auto& [var, rec] : store_) out.push_back(rec);
+  store_.for_each([&out](const crypto::SignedRecord& slot, std::uint8_t mark) {
+    if (mark != kFirstOnly) out.push_back(slot);
+  });
   return out;
 }
 
@@ -162,28 +174,30 @@ std::vector<crypto::SignedRecord> Server::gossip_records() {
       return snapshot();
     case FaultMode::kStaleReplay: {
       std::vector<crypto::SignedRecord> out;
-      out.reserve(first_store_.size());
-      for (const auto& [var, rec] : first_store_) out.push_back(rec);
+      out.reserve(store_.size());
+      store_.for_each([&](const crypto::SignedRecord& slot, std::uint8_t) {
+        out.push_back(first_of(slot));
+      });
       return out;
     }
     case FaultMode::kForge: {
       std::vector<crypto::SignedRecord> out;
-      for (const auto& [var, rec] : first_store_) {
+      store_.for_each([&](const crypto::SignedRecord& slot, std::uint8_t) {
         crypto::SignedRecord fake;
-        fake.variable = var;
+        fake.variable = slot.variable;
         fake.value = static_cast<std::int64_t>(rng_.next() >> 1);
         fake.timestamp = (~0ULL >> 8) - rng_.below(1024);
         fake.writer = 0;
         fake.tag = rng_.next();
         out.push_back(fake);
-      }
+      });
       return out;
     }
     case FaultMode::kCollude: {
       std::vector<crypto::SignedRecord> out;
-      for (const auto& [var, rec] : first_store_) {
-        out.push_back(collude_plan_->forged(var));
-      }
+      store_.for_each([&](const crypto::SignedRecord& slot, std::uint8_t) {
+        out.push_back(collude_plan_->forged(slot.variable));
+      });
       return out;
     }
     case FaultMode::kSuppress:

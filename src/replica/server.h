@@ -8,12 +8,29 @@
 // InstantCluster, and the gossip engine.
 //
 // Fault behaviour is injected via FaultMode (see fault.h).
+//
+// Record store. One flat open-addressing table (util::FlatTable) holds one
+// 40-byte slot per variable, keyed by the record's own variable. Besides
+// the latest record, the server keeps the first record it ever accepted
+// per variable, which is what kStaleReplay serves and what kForge and
+// kCollude servers lie about. The two coincide until the first superseding
+// write, so a slot's mark says where the first record is:
+//   kFirstIsLatest  the slot holds the latest record, which is also the
+//                   first;
+//   kFirstAside     the slot holds the latest record; the first was copied
+//                   into the small side table when it was superseded;
+//   kFirstOnly      the slot holds a record accepted only while faulty:
+//                   the first record, with no latest (find() is nullptr).
+// Modes only choose which of the two a read or gossip round uses, so
+// set_mode flips keep every record. snapshot() and gossip_records() list
+// records in slot order, which is deterministic for a given insert
+// sequence. find() points into the store and stays valid until the next
+// write or adoption.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "math/rng.h"
@@ -21,6 +38,7 @@
 #include "replica/fault.h"
 #include "replica/message.h"
 #include "stats/counters.h"
+#include "util/flat_table.h"
 
 namespace pqs::replica {
 
@@ -115,15 +133,26 @@ class Server {
   void handle_read(std::uint32_t from, const ReadRequest& r,
                    std::vector<Outbound>& out);
 
+  enum Mark : std::uint8_t { kFirstIsLatest = 0, kFirstAside, kFirstOnly };
+  struct VariableOf {
+    VariableId operator()(const crypto::SignedRecord& r) const {
+      return r.variable;
+    }
+  };
+  using RecordTable = util::FlatTable<crypto::SignedRecord, VariableOf>;
+
+  // The first record accepted for the slot's variable.
+  const crypto::SignedRecord& first_of(const crypto::SignedRecord& slot) const;
+
   std::uint32_t id_;
   FaultMode mode_;
   math::Rng rng_;
   std::shared_ptr<const ColludePlan> collude_plan_;
   std::optional<crypto::Verifier> gossip_verifier_;
   quorum::MembershipView membership_;
-  std::unordered_map<VariableId, crypto::SignedRecord> store_;
-  // First record ever accepted per variable; what kStaleReplay serves.
-  std::unordered_map<VariableId, crypto::SignedRecord> first_store_;
+  RecordTable store_;
+  // First records of kFirstAside slots.
+  RecordTable first_aside_;
   std::uint64_t writes_accepted_ = 0;
   std::uint64_t reads_served_ = 0;
   std::uint64_t writes_superseded_ = 0;

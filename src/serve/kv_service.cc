@@ -241,13 +241,13 @@ void KvService::process(Shard& shard, const Request& request) {
     agg.rejected_forgeries += selection.rejected;
     if (selection.rejected > 0 && selection.has_value) ++agg.masked_reads;
     if (!selection.has_value) ++agg.bot_reads;
-    const auto expected = shard.last_written.find(request.key);
-    if (expected == shard.last_written.end()) {
+    const auto* expected = shard.last_written.find(request.key);
+    if (expected == nullptr) {
       ++agg.empty_reads;
     } else if (!selection.has_value) {
       ++agg.empty_reads;
       ++agg.stale_reads;
-    } else if (selection.record.value != expected->second) {
+    } else if (selection.record.value != expected->value) {
       ++agg.stale_reads;
     }
   } else {
@@ -255,7 +255,9 @@ void KvService::process(Shard& shard, const Request& request) {
     shard.cluster->write_into(shard.write_scratch, request.key,
                               request.value);
     for (const auto u : shard.write_scratch.quorum) ++shard.accesses[u];
-    shard.last_written[request.key] = request.value;
+    const auto [entry, inserted] =
+        shard.last_written.try_emplace({request.key, request.value});
+    if (!inserted) entry->value = request.value;
   }
   // Latency from the *scheduled* arrival (coordinated-omission-safe); an
   // unpaced driver stamps submit time, making this pure service+queue

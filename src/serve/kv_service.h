@@ -6,9 +6,10 @@
 // requests and applies them through the clusters' zero-allocation
 // `write_into`/`read_into` entry points. The submit path is one hash plus
 // one ring push — no locks, no allocation — and the worker hot loop is
-// allocation-free in steady state (per-shard scratch results, a per-key
-// map that stops growing once every key has been written, a fixed-size
-// latency histogram).
+// allocation-free apart from amortized table growth (per-shard scratch
+// results, flat per-key and per-replica record tables that allocate only
+// when they double, a fixed-size latency histogram), on insert traffic
+// too.
 //
 // Determinism contract (the serving-tier face of the repo-wide one): the
 // router hash is a pure function of the key, each shard applies its
@@ -32,7 +33,6 @@
 #include <memory>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "quorum/quorum_system.h"
@@ -41,6 +41,7 @@
 #include "stats/counters.h"
 #include "stats/latency_histogram.h"
 #include "stats/load_profile.h"
+#include "util/flat_table.h"
 #include "util/mpsc_ring.h"
 
 namespace pqs::serve {
@@ -289,13 +290,23 @@ class KvService {
   stats::LoadProfile server_profile() const;
 
  private:
+  // The last value this service wrote to a key: the per-key oracle that
+  // classifies reads as stale or empty.
+  struct LastWritten {
+    std::uint64_t key = 0;
+    std::int64_t value = 0;
+  };
+  struct KeyOfLastWritten {
+    std::uint64_t operator()(const LastWritten& e) const { return e.key; }
+  };
+
   struct Shard {
     explicit Shard(std::size_t queue_capacity) : ring(queue_capacity) {}
     util::MpscRing<Request> ring;
     std::unique_ptr<replica::InstantCluster> cluster;
     // Worker-private state below: only the owning worker touches it
     // between start() and stop_and_drain().
-    std::unordered_map<std::uint64_t, std::int64_t> last_written;
+    util::FlatTable<LastWritten, KeyOfLastWritten> last_written;
     std::vector<std::uint64_t> accesses;  // per-server quorum contacts
     replica::WriteResult write_scratch;
     replica::ReadResult read_scratch;

@@ -9,9 +9,10 @@
 namespace pqs::workload {
 
 ZipfianKeys::ZipfianKeys(std::uint64_t keys, double exponent)
-    : exponent_(exponent) {
+    : keys_(keys), exponent_(exponent) {
   PQS_REQUIRE(keys >= 1, "zipfian needs keys");
   PQS_REQUIRE(exponent >= 0.0, "zipfian exponent");
+  if (exponent == 0.0) return;
   cdf_.resize(keys);
   double total = 0.0;
   for (std::uint64_t r = 1; r <= keys; ++r) {
@@ -22,17 +23,34 @@ ZipfianKeys::ZipfianKeys(std::uint64_t keys, double exponent)
   cdf_.back() = 1.0;
 }
 
+double ZipfianKeys::cdf(std::uint64_t rank) const {
+  if (rank == 0) return 0.0;
+  if (cdf_.empty()) {
+    return static_cast<double>(rank) / static_cast<double>(keys_);
+  }
+  return cdf_[rank - 1];
+}
+
 std::uint64_t ZipfianKeys::sample(math::Rng& rng) const {
   const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint64_t>(it - cdf_.begin()) + 1;
+  if (!cdf_.empty()) {
+    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    return static_cast<std::uint64_t>(it - cdf_.begin()) + 1;
+  }
+  // The smallest rank whose CDF reaches u, as lower_bound over the table
+  // would find it: start at u * n and step to the exact boundary (at most a
+  // step or two, since the CDF is monotone and u * n is within an ulp).
+  const double n = static_cast<double>(keys_);
+  std::uint64_t r = std::min<std::uint64_t>(
+      keys_, std::max<std::uint64_t>(1, static_cast<std::uint64_t>(u * n)));
+  while (r > 1 && cdf(r - 1) >= u) --r;
+  while (cdf(r) < u) ++r;
+  return r;
 }
 
 double ZipfianKeys::probability(std::uint64_t key) const {
-  PQS_REQUIRE(key >= 1 && key <= cdf_.size(), "key out of range");
-  const double hi = cdf_[key - 1];
-  const double lo = key >= 2 ? cdf_[key - 2] : 0.0;
-  return hi - lo;
+  PQS_REQUIRE(key >= 1 && key <= keys_, "key out of range");
+  return cdf(key) - cdf(key - 1);
 }
 
 double WorkloadReport::measured_load() const {

@@ -17,12 +17,15 @@
 namespace pqs::workload {
 
 // Zipf(s) over ranks 1..n: P(rank r) ∝ 1/r^s. s = 0 is uniform. Sampling
-// by inverse transform over the precomputed CDF (O(log n) per draw).
+// by inverse transform over the precomputed CDF (O(log n) per draw). At
+// s = 0 the CDF is exactly double(r) / double(n) (a running sum of 1.0s is
+// exact below 2^53), so it is computed per draw instead of stored: the same
+// rng word yields the same key, with no table to build or miss in.
 class ZipfianKeys {
  public:
   ZipfianKeys(std::uint64_t keys, double exponent);
 
-  std::uint64_t keys() const { return static_cast<std::uint64_t>(cdf_.size()); }
+  std::uint64_t keys() const { return keys_; }
   double exponent() const { return exponent_; }
 
   // Draws a key in [1, keys] (rank order: key 1 is the hottest).
@@ -32,8 +35,12 @@ class ZipfianKeys {
   double probability(std::uint64_t key) const;
 
  private:
+  // The CDF at rank r (1-based); cdf(0) is 0.
+  double cdf(std::uint64_t rank) const;
+
+  std::uint64_t keys_;
   double exponent_;
-  std::vector<double> cdf_;
+  std::vector<double> cdf_;  // empty when uniform
 };
 
 struct WorkloadSpec {

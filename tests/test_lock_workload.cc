@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -141,6 +143,41 @@ TEST(Zipfian, SamplingMatchesPmf) {
   for (std::uint64_t k = 1; k <= 20; ++k) {
     EXPECT_NEAR(counts[k] / double(kSamples), keys.probability(k), 0.005)
         << "k=" << k;
+  }
+}
+
+// The uniform path computes its CDF per draw; it must pick exactly the key
+// that inverse transform over the stored table of running sums picks.
+TEST(Zipfian, UniformWithoutTableMatchesTableKeyStream) {
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{10},
+        std::uint64_t{1000}, std::uint64_t{1} << 22}) {
+    std::vector<double> table(n);
+    double total = 0.0;
+    for (std::uint64_t r = 1; r <= n; ++r) {
+      total += 1.0 / std::pow(static_cast<double>(r), 0.0);
+      table[r - 1] = total;
+    }
+    for (auto& c : table) c /= total;
+    table.back() = 1.0;
+
+    const workload::ZipfianKeys keys(n, 0.0);
+    EXPECT_EQ(keys.keys(), n);
+    math::Rng table_rng(2024);
+    math::Rng rng(2024);
+    for (int i = 0; i < 200000; ++i) {
+      const double u = table_rng.uniform();
+      const auto expected = static_cast<std::uint64_t>(
+          std::lower_bound(table.begin(), table.end(), u) - table.begin() + 1);
+      ASSERT_EQ(keys.sample(rng), expected) << "n=" << n << " draw " << i;
+    }
+    const auto table_probability = [&table](std::uint64_t r) {
+      return table[r - 1] - (r >= 2 ? table[r - 2] : 0.0);
+    };
+    for (std::uint64_t r = 1; r <= n; r += 1 + n / 1000) {
+      ASSERT_EQ(keys.probability(r), table_probability(r)) << "n=" << n;
+    }
+    EXPECT_EQ(keys.probability(n), table_probability(n));
   }
 }
 

@@ -1,9 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <map>
+#include <new>
+#include <optional>
+#include <vector>
+
 #include "crypto/mac.h"
 #include "math/rng.h"
 #include "replica/read_rules.h"
 #include "replica/server.h"
+
+// Counts every global allocation in this test binary, so the store tests
+// can assert how often the record store allocates.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pqs::replica {
 namespace {
@@ -153,6 +178,210 @@ TEST(Server, GossipRecordsPerMode) {
     server.process(1, WriteRequest{1, rec});
     EXPECT_TRUE(server.gossip_records().empty()) << fault_mode_name(mode);
   }
+}
+
+// ---- Record store -----------------------------------------------------------
+
+crypto::SignedRecord record(VariableId variable, std::int64_t value,
+                            std::uint64_t timestamp) {
+  crypto::SignedRecord r;
+  r.variable = variable;
+  r.value = value;
+  r.timestamp = timestamp;
+  r.writer = 1;
+  r.tag = static_cast<std::uint64_t>(value) * 31 + timestamp;
+  return r;
+}
+
+std::optional<crypto::SignedRecord> read_as(Server& server, FaultMode mode,
+                                            VariableId variable) {
+  const FaultMode before = server.mode();
+  server.set_mode(mode);
+  ReadReply reply;
+  EXPECT_TRUE(server.serve_read(ReadRequest{1, variable}, reply));
+  server.set_mode(before);
+  if (!reply.has_value) return std::nullopt;
+  return reply.record;
+}
+
+bool by_variable(const crypto::SignedRecord& a, const crypto::SignedRecord& b) {
+  return a.variable < b.variable;
+}
+
+std::vector<crypto::SignedRecord> sorted(std::vector<crypto::SignedRecord> v) {
+  std::sort(v.begin(), v.end(), by_variable);
+  return v;
+}
+
+TEST(ServerStore, ModeFlipsServeFirstOrLatest) {
+  auto server = make_server(0, FaultMode::kCorrect);
+  const auto r1 = record(1, 10, 100);
+  const auto r2 = record(1, 20, 200);
+  EXPECT_TRUE(server.adopt(r1));
+  EXPECT_TRUE(server.adopt(r2));
+  server.set_mode(FaultMode::kStaleReplay);
+  EXPECT_EQ(read_as(server, FaultMode::kStaleReplay, 1), r1);
+  EXPECT_EQ(server.gossip_records(), std::vector<crypto::SignedRecord>{r1});
+  server.set_mode(FaultMode::kCorrect);
+  EXPECT_EQ(read_as(server, FaultMode::kCorrect, 1), r2);
+  ASSERT_NE(server.find(1), nullptr);
+  EXPECT_EQ(*server.find(1), r2);
+  EXPECT_EQ(server.gossip_records(), std::vector<crypto::SignedRecord>{r2});
+}
+
+TEST(ServerStore, RecordHeldWhileFaultyThenAdoptedWhileCorrect) {
+  auto server = make_server(0, FaultMode::kStaleReplay);
+  const auto held = record(1, 10, 500);
+  EXPECT_TRUE(server.apply_write(WriteRequest{1, held}));
+  // Held only as the first record: no latest, nothing to snapshot.
+  EXPECT_EQ(server.find(1), nullptr);
+  EXPECT_TRUE(server.snapshot().empty());
+  EXPECT_EQ(server.gossip_records(), std::vector<crypto::SignedRecord>{held});
+  // A second faulty write does not replace the first record.
+  EXPECT_TRUE(server.apply_write(WriteRequest{2, record(1, 11, 600)}));
+  EXPECT_EQ(read_as(server, FaultMode::kStaleReplay, 1), held);
+
+  server.set_mode(FaultMode::kCorrect);
+  EXPECT_EQ(read_as(server, FaultMode::kCorrect, 1), std::nullopt);
+  // The first honest record is installed even though it is older than the
+  // held one: the held record never counted as the latest.
+  const auto older = record(1, 12, 100);
+  EXPECT_TRUE(server.adopt(older));
+  ASSERT_NE(server.find(1), nullptr);
+  EXPECT_EQ(*server.find(1), older);
+  EXPECT_EQ(server.snapshot(), std::vector<crypto::SignedRecord>{older});
+  EXPECT_EQ(read_as(server, FaultMode::kStaleReplay, 1), held);
+  EXPECT_FALSE(server.adopt(record(1, 13, 50)));
+  EXPECT_TRUE(server.adopt(record(1, 14, 150)));
+  EXPECT_EQ(server.find(1)->value, 14);
+  EXPECT_EQ(read_as(server, FaultMode::kStaleReplay, 1), held);
+  EXPECT_EQ(server.writes_superseded(), 0u);
+}
+
+// The store against a std::map model of the paper's server: the first
+// record ever accepted per variable and the highest-timestamped one.
+TEST(ServerStore, RandomizedAgainstReference) {
+  struct Ref {
+    std::optional<crypto::SignedRecord> first;
+    std::optional<crypto::SignedRecord> latest;
+  };
+  std::map<VariableId, Ref> ref;
+  auto server = make_server(0, FaultMode::kCorrect);
+  math::Rng rng(99);
+  std::int64_t next_value = 0;
+  const auto draw_variable = [&rng]() -> VariableId {
+    // Mostly a dense range that keeps growing the table, some full-width
+    // keys, and variable 0.
+    const std::uint64_t kind = rng.below(10);
+    if (kind == 0) return rng.next();
+    if (kind == 1) return 0;
+    return rng.below(40000);
+  };
+  for (int step = 0; step < 100000; ++step) {
+    const std::uint64_t op = rng.below(100);
+    if (op < 2) {
+      server.set_mode(server.mode() == FaultMode::kCorrect
+                          ? FaultMode::kStaleReplay
+                          : FaultMode::kCorrect);
+      continue;
+    }
+    const VariableId v = draw_variable();
+    Ref& r = ref[v];
+    if (op < 40) {
+      const auto rec = record(v, ++next_value, rng.below(64));
+      const bool correct = server.mode() == FaultMode::kCorrect;
+      bool expect_adopted = false;
+      if (!r.first) r.first = rec;
+      if (correct) {
+        expect_adopted = !r.latest || rec.timestamp > r.latest->timestamp;
+        if (expect_adopted) r.latest = rec;
+      }
+      const std::uint64_t superseded = server.writes_superseded();
+      ASSERT_TRUE(server.apply_write(WriteRequest{1, rec}));
+      ASSERT_EQ(server.writes_superseded() - superseded,
+                correct && !expect_adopted ? 1u : 0u);
+    } else if (op < 70) {
+      const auto rec = record(v, ++next_value, rng.below(64));
+      if (server.mode() != FaultMode::kCorrect) continue;
+      if (!r.first) r.first = rec;
+      const bool expect_adopted =
+          !r.latest || rec.timestamp > r.latest->timestamp;
+      if (expect_adopted) r.latest = rec;
+      ASSERT_EQ(server.adopt(rec), expect_adopted) << "step " << step;
+    } else if (op < 90) {
+      const auto* found = server.find(v);
+      ASSERT_EQ(found != nullptr, r.latest.has_value()) << "step " << step;
+      if (found != nullptr) ASSERT_EQ(*found, *r.latest);
+    } else {
+      ASSERT_EQ(read_as(server, FaultMode::kStaleReplay, v), r.first)
+          << "step " << step;
+    }
+  }
+  std::vector<crypto::SignedRecord> latest, first;
+  for (const auto& [v, r] : ref) {
+    if (r.latest) latest.push_back(*r.latest);
+    if (r.first) first.push_back(*r.first);
+  }
+  EXPECT_EQ(sorted(server.snapshot()), latest);
+  server.set_mode(FaultMode::kCorrect);
+  EXPECT_EQ(sorted(server.gossip_records()), latest);
+  server.set_mode(FaultMode::kStaleReplay);
+  EXPECT_EQ(sorted(server.gossip_records()), first);
+  server.set_mode(FaultMode::kForge);
+  EXPECT_EQ(server.gossip_records().size(), first.size());
+  server.set_mode(FaultMode::kCollude);
+  EXPECT_EQ(server.gossip_records().size(), first.size());
+}
+
+TEST(ServerStore, SnapshotAndGossipAreSetsInARepeatableOrder) {
+  const auto run = [] {
+    auto server = make_server(0, FaultMode::kCorrect);
+    math::Rng rng(5);
+    std::vector<crypto::SignedRecord> expected_latest;
+    for (std::int64_t i = 0; i < 3000; ++i) {
+      const auto rec = record(rng.next(), i, 7);
+      server.adopt(rec);
+      expected_latest.push_back(rec);
+    }
+    // Rewrite a third of them so their first records move aside.
+    for (std::size_t i = 0; i < expected_latest.size(); i += 3) {
+      auto newer = expected_latest[i];
+      newer.value += 100000;
+      newer.timestamp = 8;
+      EXPECT_TRUE(server.adopt(newer));
+      expected_latest[i] = newer;
+    }
+    const auto snapshot = server.snapshot();
+    EXPECT_EQ(sorted(snapshot), sorted(expected_latest));
+    server.set_mode(FaultMode::kStaleReplay);
+    const auto stale = server.gossip_records();
+    EXPECT_EQ(stale.size(), expected_latest.size());
+    for (const auto& r : stale) EXPECT_EQ(r.timestamp, 7u);
+    return std::make_pair(snapshot, stale);
+  };
+  const auto a = run();
+  const auto b = run();
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_EQ(a.second, b.second);
+}
+
+TEST(ServerStore, AllocatesOnlyToGrow) {
+  auto server = make_server(0, FaultMode::kCorrect);
+  constexpr VariableId kKeys = 1 << 16;
+  const auto allocations_for = [&server](std::uint64_t timestamp) {
+    const std::uint64_t before = g_allocations.load();
+    for (VariableId v = 0; v < kKeys; ++v) {
+      server.adopt(record(v * 0x9e3779b97f4a7c15ULL, 1, timestamp));
+    }
+    return g_allocations.load() - before;
+  };
+  // Fresh keys: a logarithmic number of growths, not one node per record.
+  EXPECT_LE(allocations_for(1), 2u * 16u + 4u);
+  // The first rewrite of each key keeps its first record aside (growing
+  // that side table); later rewrites allocate nothing.
+  EXPECT_LE(allocations_for(2), 2u * 16u + 4u);
+  EXPECT_EQ(allocations_for(3), 0u);
+  EXPECT_EQ(allocations_for(3), 0u);  // not newer: superseded
 }
 
 // ---- Read-selection rules ---------------------------------------------------
