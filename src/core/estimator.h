@@ -76,8 +76,11 @@ class Estimator {
     const std::uint64_t extra = samples % shards_;
     pool_.run(shards_, [&](std::uint64_t i) {
       const std::uint64_t shard_samples = base + (i < extra ? 1 : 0);
+      // A private copy: two 32-byte generators share a cache line of
+      // `rngs`, and shards on different threads would write it per draw.
+      math::Rng shard_rng = rngs[i];
       parts[i] = per_shard(static_cast<std::uint32_t>(i), shard_samples,
-                           rngs[i]);
+                           shard_rng);
     });
     R acc{};
     for (auto& part : parts) reduce(acc, std::move(part));

@@ -5,6 +5,7 @@
 #include "core/epsilon.h"
 #include "math/sampling.h"
 #include "quorum/measures.h"
+#include "quorum/threshold.h"
 #include "util/require.h"
 
 namespace pqs::core {
@@ -104,10 +105,7 @@ void RandomSubsetSystem::sample_mask(quorum::QuorumBitset& out,
 void RandomSubsetSystem::sample_masks(quorum::QuorumBitset* out,
                                       std::size_t count,
                                       math::Rng& rng) const {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i].resize(n_);
-    math::sample_without_replacement_bits(n_, q_, rng, out[i].word_data());
-  }
+  quorum::sample_uniform_masks(n_, q_, out, count, rng);
 }
 
 double RandomSubsetSystem::load() const {

@@ -13,44 +13,9 @@ std::uint64_t SplitMix64::next() {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& word : s_) word = sm.next();
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) {
-  PQS_REQUIRE(bound > 0, "Rng::below(0)");
-  // Lemire's nearly-divisionless method.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  std::uint64_t lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 double Rng::uniform() {
@@ -65,8 +30,13 @@ bool Rng::chance(double p) {
 
 std::int64_t Rng::between(std::int64_t lo, std::int64_t hi) {
   PQS_REQUIRE(lo <= hi, "Rng::between bounds");
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(below(span));
+  // The span in unsigned arithmetic: hi - lo overflows int64_t for ranges
+  // wider than 2^63, and a span of all 2^64 values is one raw draw.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  if (span == ~0ULL) return static_cast<std::int64_t>(next());
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   below(span + 1));
 }
 
 double Rng::exponential(double mean) {

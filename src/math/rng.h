@@ -9,6 +9,8 @@
 
 #include <cstdint>
 
+#include "util/require.h"
+
 namespace pqs::math {
 
 // SplitMix64: used to expand a single 64-bit seed into generator state.
@@ -32,10 +34,37 @@ class Rng {
   static constexpr result_type max() { return ~0ULL; }
   result_type operator()() { return next(); }
 
-  std::uint64_t next();
+  // Inline (with below()) so the draw loops that call them per member —
+  // Floyd's subset draw above all — keep the state in registers.
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  // Uniform integer in [0, bound) without modulo bias (Lemire's method).
-  std::uint64_t below(std::uint64_t bound);
+  // Uniform integer in [0, bound) without modulo bias (Lemire's
+  // nearly-divisionless method).
+  std::uint64_t below(std::uint64_t bound) {
+    PQS_REQUIRE(bound > 0, "Rng::below(0)");
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    std::uint64_t lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   // Uniform double in [0, 1) with 53 bits of precision.
   double uniform();
@@ -43,7 +72,8 @@ class Rng {
   // Bernoulli(p) trial.
   bool chance(double p);
 
-  // Uniform integer in [lo, hi] inclusive.
+  // Uniform integer in [lo, hi] inclusive; any range, the full int64_t
+  // one included.
   std::int64_t between(std::int64_t lo, std::int64_t hi);
 
   // Exponentially distributed value with the given mean (> 0).
@@ -71,6 +101,10 @@ class Rng {
   Rng substream();
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   // Polynomial-jump core shared by jump() and long_jump().
   void jump_with(const std::uint64_t (&polynomial)[4]);
 

@@ -6,6 +6,7 @@
 // every Monte-Carlo verifier and of quorum selection in the protocols.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,6 +33,19 @@ void sample_without_replacement(std::uint32_t n, std::uint32_t k, Rng& rng,
 // exactly the rng draws of the vector overloads and marks the same subset.
 void sample_without_replacement_bits(std::uint32_t n, std::uint32_t k,
                                      Rng& rng, std::uint64_t* words);
+
+// `count` successive draws of the above, mask i into words[i] (ceil(n/64)
+// zeroed words each): the masks and the rng's end state are exactly those
+// of `count` calls of sample_without_replacement_bits in index order. The
+// work runs in two passes per chunk of masks: pass 1 draws every mask's k
+// Floyd indices, in stream order, into a fixed stack buffer; pass 2 runs
+// Floyd's membership step for all masks of the chunk interleaved, so their
+// dependency chains (each step's test reads the word the previous step
+// wrote) overlap instead of running back to back. No heap allocation.
+void sample_without_replacement_bits_batch(std::uint32_t n, std::uint32_t k,
+                                           Rng& rng,
+                                           std::uint64_t* const* words,
+                                           std::size_t count);
 
 // Fisher-Yates shuffle of the whole vector.
 void shuffle(std::vector<std::uint32_t>& values, Rng& rng);

@@ -1,10 +1,28 @@
 #include "quorum/threshold.h"
 
+#include <algorithm>
+
 #include "math/sampling.h"
 #include "quorum/measures.h"
 #include "util/require.h"
 
 namespace pqs::quorum {
+
+void sample_uniform_masks(std::uint32_t n, std::uint32_t q, QuorumBitset* out,
+                          std::size_t count, math::Rng& rng) {
+  // Word pointers gathered a chunk at a time, so any count stays on the
+  // stack.
+  constexpr std::size_t kChunk = 64;
+  std::uint64_t* words[kChunk];
+  for (std::size_t base = 0; base < count; base += kChunk) {
+    const std::size_t chunk = std::min(kChunk, count - base);
+    for (std::size_t i = 0; i < chunk; ++i) {
+      out[base + i].resize(n);
+      words[i] = out[base + i].word_data();
+    }
+    math::sample_without_replacement_bits_batch(n, q, rng, words, chunk);
+  }
+}
 
 ThresholdSystem::ThresholdSystem(std::uint32_t n, std::uint32_t q)
     : n_(n), q_(q) {
@@ -50,12 +68,7 @@ void ThresholdSystem::sample_mask(QuorumBitset& out, math::Rng& rng) const {
 
 void ThresholdSystem::sample_masks(QuorumBitset* out, std::size_t count,
                                    math::Rng& rng) const {
-  // One virtual call per batch; the fill itself is the non-virtual Floyd
-  // draw, so the loop body is identical to sample_mask per element.
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i].resize(n_);
-    math::sample_without_replacement_bits(n_, q_, rng, out[i].word_data());
-  }
+  sample_uniform_masks(n_, q_, out, count, rng);
 }
 
 double ThresholdSystem::load() const {

@@ -15,6 +15,15 @@
 
 namespace pqs::quorum {
 
+// Draws `count` uniform q-subsets of {0..n-1} into out[0..count), each
+// resized to n, through math::sample_without_replacement_bits_batch: the
+// sample_masks body of both constructions whose quorums are the uniform
+// q-subsets (ThresholdSystem and core::RandomSubsetSystem). Consumes
+// exactly the rng draws of `count` sample_mask calls; allocates nothing
+// once the masks have their size.
+void sample_uniform_masks(std::uint32_t n, std::uint32_t q, QuorumBitset* out,
+                          std::size_t count, math::Rng& rng);
+
 class ThresholdSystem final : public QuorumSystem {
  public:
   // Quorums are all q-subsets of an n-universe. Requires 1 <= q <= n and

@@ -21,6 +21,19 @@ ZipfianKeys::ZipfianKeys(std::uint64_t keys, double exponent)
   }
   for (auto& c : cdf_) c /= total;
   cdf_.back() = 1.0;
+  // About one bucket per key, capped at 2^16 buckets (256 KiB of guide):
+  // a bucket's CDF range is then a few keys wide, against a binary search
+  // over every key.
+  std::size_t buckets = 1;
+  while (buckets < keys && buckets < (std::size_t{1} << 16)) buckets *= 2;
+  guide_.resize(buckets + 1);
+  std::size_t rank = 0;
+  for (std::size_t b = 0; b <= buckets; ++b) {
+    const double edge =
+        static_cast<double>(b) / static_cast<double>(buckets);
+    while (cdf_[rank] < edge) ++rank;  // cdf_.back() == 1.0 stops it
+    guide_[b] = static_cast<std::uint32_t>(rank);
+  }
 }
 
 double ZipfianKeys::cdf(std::uint64_t rank) const {
@@ -34,7 +47,14 @@ double ZipfianKeys::cdf(std::uint64_t rank) const {
 std::uint64_t ZipfianKeys::sample(math::Rng& rng) const {
   const double u = rng.uniform();
   if (!cdf_.empty()) {
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    // u * G is exact (G is a power of two), so b/G <= u < (b+1)/G holds
+    // exactly and the full lower_bound's answer lies in
+    // [guide_[b], guide_[b+1]]: the same key for the same rng word.
+    const std::size_t buckets = guide_.size() - 1;
+    const std::size_t b =
+        static_cast<std::size_t>(u * static_cast<double>(buckets));
+    const auto it = std::lower_bound(cdf_.begin() + guide_[b],
+                                     cdf_.begin() + guide_[b + 1], u);
     return static_cast<std::uint64_t>(it - cdf_.begin()) + 1;
   }
   // The smallest rank whose CDF reaches u, as lower_bound over the table

@@ -41,6 +41,10 @@ class ZipfianKeys {
   std::uint64_t keys_;
   double exponent_;
   std::vector<double> cdf_;  // empty when uniform
+  // Guide table over cdf_: guide_[b] is the first rank index whose CDF
+  // reaches b / G (G = guide_.size() - 1, a power of two), so a draw u in
+  // [b/G, (b+1)/G) searches only cdf_[guide_[b], guide_[b+1]].
+  std::vector<std::uint32_t> guide_;
 };
 
 struct WorkloadSpec {

@@ -181,6 +181,38 @@ TEST(Zipfian, UniformWithoutTableMatchesTableKeyStream) {
   }
 }
 
+// The guide table narrows each draw's search to one bucket of the CDF; it
+// must return exactly the key a lower_bound over the whole table returns
+// for the same rng word.
+TEST(Zipfian, GuideTableMatchesFullBinarySearch) {
+  for (const double exponent : {0.5, 0.99, 1.2, 2.5}) {
+    for (const std::uint64_t n :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{10},
+          std::uint64_t{10000}, std::uint64_t{1} << 22}) {
+      std::vector<double> table(n);
+      double total = 0.0;
+      for (std::uint64_t r = 1; r <= n; ++r) {
+        total += 1.0 / std::pow(static_cast<double>(r), exponent);
+        table[r - 1] = total;
+      }
+      for (auto& c : table) c /= total;
+      table.back() = 1.0;
+
+      const workload::ZipfianKeys keys(n, exponent);
+      math::Rng table_rng(7 + n);
+      math::Rng rng(7 + n);
+      for (int i = 0; i < 200000; ++i) {
+        const double u = table_rng.uniform();
+        const auto expected = static_cast<std::uint64_t>(
+            std::lower_bound(table.begin(), table.end(), u) - table.begin() +
+            1);
+        ASSERT_EQ(keys.sample(rng), expected)
+            << "n=" << n << " s=" << exponent << " draw " << i;
+      }
+    }
+  }
+}
+
 TEST(Zipfian, Validation) {
   EXPECT_THROW(workload::ZipfianKeys(0, 1.0), std::invalid_argument);
   EXPECT_THROW(workload::ZipfianKeys(10, -0.5), std::invalid_argument);

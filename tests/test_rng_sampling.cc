@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -84,6 +86,43 @@ TEST(Rng, BetweenInclusive) {
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 7u);  // all values hit
+}
+
+// Wide ranges: the span is computed in uint64_t (hi - lo in int64_t
+// overflows past 2^63), the full int64_t range is one raw draw, and
+// ordinary ranges keep their stream: lo + below(hi - lo + 1).
+TEST(Rng, BetweenWideRanges) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(31);
+  Rng reference(31);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.between(kMin, kMax),
+              static_cast<std::int64_t>(reference.next()));
+  }
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {kMin, kMax - 1}, {kMin + 1, kMax}, {kMin, 0}, {-1, kMax},
+      {kMin, kMin},     {kMax, kMax},     {-3, 3},   {0, 0}};
+  for (const auto& [lo, hi] : ranges) {
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+    for (int i = 0; i < 100; ++i) {
+      const std::int64_t v = rng.between(lo, hi);
+      EXPECT_GE(v, lo);
+      EXPECT_LE(v, hi);
+      EXPECT_EQ(v, static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                             reference.below(span + 1)))
+          << lo << ".." << hi;
+    }
+  }
+  // Both halves of the full range are reached.
+  bool negative = false, positive = false;
+  for (int i = 0; i < 64; ++i) {
+    const std::int64_t v = rng.between(kMin, kMax - 1);
+    negative |= v < 0;
+    positive |= v > 0;
+  }
+  EXPECT_TRUE(negative && positive);
 }
 
 TEST(Rng, ExponentialMean) {
