@@ -1,16 +1,18 @@
-// Stream pins for the batched draw: every QuorumSystem::sample_masks
+// Stream pins for the batched draw. Every QuorumSystem::sample_masks
 // override must fill exactly the masks that `count` successive
-// sample_mask calls fill and leave the rng in exactly their end state, into
-// owning bitsets and into MaskBatch views alike, without allocating. The
-// two-pass Floyd batch underneath (math::sample_without_replacement_bits_
-// batch) is pinned the same way against the one-mask draw, k = 0 and k = n
-// and a k wider than its index buffer included.
+// sample_mask calls fill and leave the rng in exactly their end state,
+// into owning bitsets and MaskBatch views alike, without allocating. The
+// two-pass Floyd batch underneath, math::sample_without_replacement_bits_batch,
+// is pinned the same way against the one-mask draw, including k = 0,
+// k = n and a k wider than its index buffer.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
