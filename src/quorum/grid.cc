@@ -83,34 +83,19 @@ void GridSystem::sample_into(Quorum& out, math::Rng& rng) const {
   // Already sorted: row-major emission.
 }
 
-namespace {
-// The mask fill shared by sample_mask and the batched sample_masks.
-void fill_grid_mask(std::uint32_t rows, std::uint32_t cols, std::uint32_t d,
-                    QuorumBitset& out, math::Rng& rng) {
+void GridSystem::sample_mask(QuorumBitset& out, math::Rng& rng) const {
   static thread_local std::vector<std::uint32_t> row_ids;
   static thread_local std::vector<std::uint32_t> col_ids;
-  math::sample_without_replacement(rows, d, rng, row_ids);
-  math::sample_without_replacement(cols, d, rng, col_ids);
-  out.resize(rows * cols);
+  math::sample_without_replacement(rows_, d_, rng, row_ids);
+  math::sample_without_replacement(cols_, d_, rng, col_ids);
+  out.resize(rows_ * cols_);
   // Chosen rows are contiguous word ranges; chosen columns stride one bit
   // per row. No scan over the full grid, unlike the sorted emission above.
   for (const std::uint32_t r : row_ids) {
-    out.set_range(r * cols, (r + 1) * cols);
+    out.set_range(r * cols_, (r + 1) * cols_);
   }
   for (const std::uint32_t c : col_ids) {
-    for (std::uint32_t r = 0; r < rows; ++r) out.set(r * cols + c);
-  }
-}
-}  // namespace
-
-void GridSystem::sample_mask(QuorumBitset& out, math::Rng& rng) const {
-  fill_grid_mask(rows_, cols_, d_, out, rng);
-}
-
-void GridSystem::sample_masks(QuorumBitset* out, std::size_t count,
-                              math::Rng& rng) const {
-  for (std::size_t i = 0; i < count; ++i) {
-    fill_grid_mask(rows_, cols_, d_, out[i], rng);
+    for (std::uint32_t r = 0; r < rows_; ++r) out.set(r * cols_ + c);
   }
 }
 

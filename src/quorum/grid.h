@@ -37,8 +37,6 @@ class GridSystem final : public QuorumSystem {
   Quorum sample(math::Rng& rng) const override;
   void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
-  void sample_masks(QuorumBitset* out, std::size_t count,
-                    math::Rng& rng) const override;
   std::uint32_t min_quorum_size() const override;
   double load() const override;
   // A full explanation lives in the .cc: disabling every quorum requires

@@ -64,10 +64,10 @@ class QuorumSystem {
   ///              cost, never the stream, so results are independent of
   ///              the chunk size a caller picks.
   ///
-  /// The default loops sample_mask; constructions whose mask fill is
-  /// non-virtual override to pay one virtual call per batch instead of
-  /// one per draw (the estimators and the protocol throughput harness
-  /// draw in chunks through this entry point).
+  /// The default loops sample_mask. A construction overrides it only where
+  /// the override measures faster than that loop: threshold and R(n,q)
+  /// draw a chunk in two Floyd passes (the estimators and the protocol
+  /// throughput harness draw in chunks through this entry point).
   virtual void sample_masks(QuorumBitset* out, std::size_t count,
                             math::Rng& rng) const;
 

@@ -295,11 +295,6 @@ void Strategy::sample_mask(QuorumBitset& out, math::Rng& rng) const {
   out = read_masks_[draw_read_index(rng)];
 }
 
-void Strategy::sample_masks(QuorumBitset* out, std::size_t count,
-                            math::Rng& rng) const {
-  for (std::size_t i = 0; i < count; ++i) sample_mask(out[i], rng);
-}
-
 std::uint32_t Strategy::min_quorum_size() const {
   std::size_t best = read_quorums_[0].size();
   for (const Quorum& q : read_quorums_) best = std::min(best, q.size());

@@ -36,7 +36,6 @@
 // support, and fault_tolerance as the exact minimum hitting set.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -126,8 +125,6 @@ class Strategy final : public QuorumSystem {
   Quorum sample(math::Rng& rng) const override;
   void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
-  void sample_masks(QuorumBitset* out, std::size_t count,
-                    math::Rng& rng) const override;
   std::uint32_t min_quorum_size() const override;
   // Definition 2.4 load of the shipped strategy at its workload mix,
   // capacity-weighted (== max_load()).

@@ -116,8 +116,9 @@ void Client::finish_read(OpId op, bool complete) {
   PendingRead pending = std::move(it->second);
   reads_.erase(it);
   pending.outcome.complete = complete;
-  pending.outcome.selection = select(config_.mode, pending.replies, &verifier_,
-                                     config_.read_threshold);
+  pending.outcome.selection =
+      select(config_.mode, pending.replies, &verifier_,
+             config_.read_threshold, masking_scratch_);
   pending.done(pending.outcome);
 }
 

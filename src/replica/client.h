@@ -112,6 +112,7 @@ class Client {
   std::uint64_t next_op_ = 1;
   std::uint64_t write_seq_ = 0;
   quorum::QuorumBitset draw_mask_;  // per-client draw scratch (kMask path)
+  MaskingScratch masking_scratch_;  // per-client read-selection scratch
   std::unordered_map<OpId, PendingWrite> writes_;
   std::unordered_map<OpId, PendingRead> reads_;
 };

@@ -1,5 +1,6 @@
 #include "replica/instant_cluster.h"
 
+#include <cstddef>
 #include <utility>
 
 #include "util/require.h"
@@ -221,8 +222,8 @@ void InstantCluster::read_into(ReadResult& result, VariableId variable) {
       }
     }
   }
-  result.selection =
-      select(config_.mode, reply_scratch_, &verifier_, config_.read_threshold);
+  result.selection = select(config_.mode, reply_scratch_, &verifier_,
+                            config_.read_threshold, masking_scratch_);
 }
 
 void InstantCluster::read_repair_into(ReadResult& result,
@@ -230,15 +231,15 @@ void InstantCluster::read_repair_into(ReadResult& result,
   read_into(result, variable);
   if (!result.selection.has_value) return;
   const crypto::SignedRecord& best = result.selection.record;
-  // O(r^2) scan over the reply scratch, like select_masking: quorums are
-  // O(sqrt n) so this stays cheap and allocation-free.
+  // Both draw paths contact the quorum in result.quorum's order, so the
+  // replies are a subsequence of it: one forward cursor finds each
+  // member's reply, or its absence.
+  std::size_t next = 0;
   for (const auto u : result.quorum) {
     bool fresh = false;
-    for (const ReadReply& reply : reply_scratch_) {
-      if (reply.server == u) {
-        fresh = reply.has_value && reply.record.timestamp >= best.timestamp;
-        break;
-      }
+    if (next < reply_scratch_.size() && reply_scratch_[next].server == u) {
+      const ReadReply& reply = reply_scratch_[next++];
+      fresh = reply.has_value && reply.record.timestamp >= best.timestamp;
     }
     if (fresh) continue;
     servers_[u]->apply_write(WriteRequest{0, best});

@@ -184,10 +184,12 @@ class InstantCluster {
   std::vector<std::uint64_t> writer_seq_;
   // Compact-universe draw scratch for view-aware mask draws.
   std::vector<std::uint64_t> compact_scratch_;
-  // Per-instance draw and reply scratch: the quorum stays a mask while the
-  // operation runs and is materialized into the result at the end.
+  // Per-instance draw, reply and selection scratch: the quorum stays a mask
+  // while the operation runs and is materialized into the result at the
+  // end.
   quorum::QuorumBitset draw_mask_;
   std::vector<ReadReply> reply_scratch_;
+  MaskingScratch masking_scratch_;
   std::uint64_t strategy_draws_ = 0;
   std::uint64_t strategy_checksum_ = 0;
   static constexpr std::uint32_t kClientId = 0xffffffffu;

@@ -19,11 +19,11 @@
 // (math/chernoff.h) turns that into a deterministic-seed assertion with
 // failure probability <= 1e-9 under the null.
 //
-// Perturbation check (done manually once during development): dropping
-// the threshold comparison in select_masking to `count >= 1` drives the
-// fabricated rate at b = 2 to the b >= 1 containment rate, an order of
-// magnitude above the Lemma 5.7 bound, and the conformance tests here
-// fail.
+// Perturbation check (done by hand against a mutated copy): lowering
+// select_masking's voucher threshold to 1 (its sub-threshold test
+// `group.count < k` read as `group.count < 1`) lets a single colluder's
+// forgery through, so ColludingStackRespectsFabricationEpsilon and
+// SubThresholdColluderNeverFabricates both fail.
 #include <cmath>
 #include <cstdint>
 #include <memory>

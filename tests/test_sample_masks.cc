@@ -1,10 +1,11 @@
-// Stream pins for the batched draw. Every QuorumSystem::sample_masks
-// override must fill exactly the masks that `count` successive
-// sample_mask calls fill and leave the rng in exactly their end state,
-// into owning bitsets and MaskBatch views alike, without allocating. The
-// two-pass Floyd batch underneath, math::sample_without_replacement_bits_batch,
-// is pinned the same way against the one-mask draw, including k = 0,
-// k = n and a k wider than its index buffer.
+// Stream pins for the batched draw. Every QuorumSystem::sample_masks,
+// override or default (grid and Strategy draw through the default loop),
+// must fill exactly the masks that `count` successive sample_mask calls
+// fill and leave the rng in exactly their end state, into owning bitsets
+// and MaskBatch views alike, without allocating. The two-pass Floyd batch
+// underneath, math::sample_without_replacement_bits_batch, is pinned the
+// same way against the one-mask draw, including k = 0, k = n and a k
+// wider than its index buffer.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>

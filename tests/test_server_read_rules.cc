@@ -6,6 +6,9 @@
 #include <map>
 #include <new>
 #include <optional>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "crypto/mac.h"
@@ -14,7 +17,8 @@
 #include "replica/server.h"
 
 // Counts every global allocation in this test binary, so the store tests
-// can assert how often the record store allocates.
+// can assert how often the record store allocates, and the selection
+// tests that masking reads allocate nothing once their scratch is warm.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
@@ -466,14 +470,15 @@ TEST(ReadRules, MaskingRequiresKVouchers) {
   const auto stale = signer.sign(1, 10, 100, 1);
   // fresh has 2 vouchers, stale has 3.
   const auto replies = replies_from({fresh, fresh, stale, stale, stale});
-  const auto sel2 = select_masking(replies, 2);
+  MaskingScratch scratch;
+  const auto sel2 = select_masking(replies, 2, scratch);
   ASSERT_TRUE(sel2.has_value);
   EXPECT_EQ(sel2.record.value, 30);  // both qualify; freshest wins
-  const auto sel3 = select_masking(replies, 3);
+  const auto sel3 = select_masking(replies, 3, scratch);
   ASSERT_TRUE(sel3.has_value);
   EXPECT_EQ(sel3.record.value, 10);  // only the stale one clears k=3
   EXPECT_EQ(sel3.vouchers, 3u);
-  EXPECT_FALSE(select_masking(replies, 4).has_value);  // nothing clears
+  EXPECT_FALSE(select_masking(replies, 4, scratch).has_value);  // none clears
 }
 
 TEST(ReadRules, MaskingDefeatsSubThresholdCollusion) {
@@ -484,7 +489,8 @@ TEST(ReadRules, MaskingDefeatsSubThresholdCollusion) {
   // return the genuine one.
   std::vector<crypto::SignedRecord> records{plan.forged(1), plan.forged(1),
                                             genuine, genuine, genuine};
-  const auto sel = select_masking(replies_from(records), 3);
+  MaskingScratch scratch;
+  const auto sel = select_masking(replies_from(records), 3, scratch);
   ASSERT_TRUE(sel.has_value);
   EXPECT_EQ(sel.record.value, 10);
 }
@@ -498,7 +504,8 @@ TEST(ReadRules, MaskingOverwhelmedByKColluders) {
   std::vector<crypto::SignedRecord> records{plan.forged(1), plan.forged(1),
                                             plan.forged(1), genuine, genuine,
                                             genuine};
-  const auto sel = select_masking(replies_from(records), 3);
+  MaskingScratch scratch;
+  const auto sel = select_masking(replies_from(records), 3, scratch);
   ASSERT_TRUE(sel.has_value);
   EXPECT_EQ(sel.record.value, plan.forged(1).value);
 }
@@ -507,12 +514,175 @@ TEST(ReadRules, DispatchMatchesSpecificSelectors) {
   const auto signer = test_signer();
   const crypto::Verifier verifier(signer.key());
   const auto replies = replies_from({signer.sign(1, 5, 50, 1)});
-  EXPECT_EQ(select(ReadMode::kPlain, replies, nullptr, 1).record.value, 5);
-  EXPECT_EQ(select(ReadMode::kDissemination, replies, &verifier, 1)
+  MaskingScratch scratch;
+  EXPECT_EQ(select(ReadMode::kPlain, replies, nullptr, 1, scratch)
                 .record.value, 5);
-  EXPECT_EQ(select(ReadMode::kMasking, replies, nullptr, 1).record.value, 5);
-  EXPECT_THROW(select(ReadMode::kDissemination, replies, nullptr, 1),
+  EXPECT_EQ(select(ReadMode::kDissemination, replies, &verifier, 1, scratch)
+                .record.value, 5);
+  EXPECT_EQ(select(ReadMode::kMasking, replies, nullptr, 1, scratch)
+                .record.value, 5);
+  EXPECT_THROW(select(ReadMode::kDissemination, replies, nullptr, 1, scratch),
                std::invalid_argument);
+}
+
+// ---- Masking selection against the quadratic reference ---------------------
+
+// The grouping select_masking used before its hash table: for each first
+// copy of a record, count its copies with a forward scan. Kept here as the
+// specification the linear pass must reproduce field for field.
+ReadSelection reference_select_masking(const std::vector<ReadReply>& replies,
+                                       std::uint32_t k) {
+  const auto key_of = [](const ReadReply& r) {
+    return std::make_tuple(r.record.variable, r.record.value,
+                           r.record.timestamp, r.record.writer);
+  };
+  ReadSelection out;
+  auto best_key = std::make_tuple(VariableId{0}, std::int64_t{0},
+                                  std::uint64_t{0}, std::uint32_t{0});
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    if (!replies[i].has_value) continue;
+    const auto key = key_of(replies[i]);
+    bool first = true;
+    for (std::size_t j = 0; j < i && first; ++j) {
+      if (replies[j].has_value && key_of(replies[j]) == key) first = false;
+    }
+    if (!first) continue;
+    std::uint32_t count = 0;
+    for (std::size_t j = i; j < replies.size(); ++j) {
+      if (replies[j].has_value && key_of(replies[j]) == key) ++count;
+    }
+    if (count < k) {
+      out.rejected += count;
+      continue;
+    }
+    const auto timestamp = std::get<2>(key);
+    if (!out.has_value || timestamp > out.record.timestamp ||
+        (timestamp == out.record.timestamp && key < best_key)) {
+      out.has_value = true;
+      out.record.variable = std::get<0>(key);
+      out.record.value = std::get<1>(key);
+      out.record.timestamp = timestamp;
+      out.record.writer = std::get<3>(key);
+      out.record.tag = 0;
+      out.vouchers = count;
+      best_key = key;
+    }
+  }
+  return out;
+}
+
+// r replies drawn from a palette of records that differ from a base in
+// one vote field each (variable, writer, value) or only in timestamp, with
+// per-set skewed weights so that one, several or no groups reach a given
+// k. Half the sets add about r more such variants, so that records
+// differing in one field share probe runs in the group table and the full
+// field compare decides. Copies carry random tags (the same vote, so the
+// same group); about one reply in ten is empty and one in ten a unique
+// forgery.
+std::vector<ReadReply> random_replies(std::uint32_t r, math::Rng& rng) {
+  crypto::SignedRecord base;
+  base.variable = 7;
+  base.value = 100;
+  base.timestamp = 5000;
+  base.writer = 1;
+  std::vector<crypto::SignedRecord> palette(7, base);
+  palette[1].variable = 8;
+  palette[2].writer = 2;
+  palette[3].value = 101;  // timestamp tie, larger tuple
+  palette[4].value = 99;   // timestamp tie, smaller tuple
+  palette[5].timestamp = 4000;
+  palette[6].timestamp = 6000;
+  const std::uint32_t variants = rng.below(2) == 0 ? 0 : r;
+  for (std::uint32_t j = 0; j < variants; ++j) {
+    crypto::SignedRecord variant = base;
+    variant.timestamp = 4000 + 1000 * rng.below(3);
+    switch (j % 3) {
+      case 0: variant.variable = 100 + j; break;
+      case 1: variant.writer = 100 + j; break;
+      default: variant.value = 1000 + j; break;
+    }
+    palette.push_back(variant);
+  }
+  std::vector<std::uint64_t> weight(palette.size());
+  std::uint64_t total = 0;
+  for (auto& w : weight) {
+    w = rng.below(4) == 0 ? 0 : 1 + rng.below(64);
+    total += w;
+  }
+  std::vector<ReadReply> out(r);
+  for (std::uint32_t i = 0; i < r; ++i) {
+    ReadReply& reply = out[i];
+    reply.server = i;
+    const std::uint64_t roll = rng.below(10);
+    if (roll == 0) continue;  // empty reply
+    reply.has_value = true;
+    if (roll == 1 || total == 0) {
+      reply.record.variable = base.variable;
+      reply.record.value = static_cast<std::int64_t>(rng.next() >> 1);
+      reply.record.timestamp = (~0ULL >> 8) - rng.below(1024);
+    } else {
+      std::uint64_t pick = rng.below(total);
+      std::size_t p = 0;
+      while (pick >= weight[p]) pick -= weight[p++];
+      reply.record = palette[p];
+    }
+    reply.record.tag = rng.below(3);
+  }
+  return out;
+}
+
+void shuffle(std::vector<ReadReply>& replies, math::Rng& rng) {
+  for (std::size_t i = replies.size(); i > 1; --i) {
+    std::swap(replies[i - 1], replies[rng.below(i)]);
+  }
+}
+
+void expect_same_selection(const ReadSelection& got,
+                           const ReadSelection& want) {
+  EXPECT_EQ(got.has_value, want.has_value);
+  EXPECT_EQ(got.record, want.record);
+  EXPECT_EQ(got.vouchers, want.vouchers);
+  EXPECT_EQ(got.rejected, want.rejected);
+}
+
+TEST(ReadRules, MaskingMatchesQuadraticReference) {
+  math::Rng rng(0x5e1ec7);
+  MaskingScratch scratch;  // shared across sizes, as callers share it
+  for (const std::uint32_t r : {0u, 1u, 2u, 43u, 44u, 45u, 255u, 256u,
+                                1000u}) {
+    for (int set = 0; set < 40; ++set) {
+      auto replies = random_replies(r, rng);
+      for (const std::uint32_t k : {1u, 2u, r / 2, r, r + 1}) {
+        if (k == 0) continue;
+        SCOPED_TRACE("r=" + std::to_string(r) + " k=" + std::to_string(k) +
+                     " set=" + std::to_string(set));
+        const ReadSelection want = reference_select_masking(replies, k);
+        expect_same_selection(select_masking(replies, k, scratch), want);
+        auto shuffled = replies;
+        shuffle(shuffled, rng);
+        expect_same_selection(select_masking(shuffled, k, scratch), want);
+      }
+    }
+  }
+}
+
+TEST(ReadRules, MaskingAllocatesNothingAfterWarmUp) {
+  math::Rng rng(0xa11c);
+  for (const std::uint32_t r : {44u, 1000u}) {
+    std::vector<std::vector<ReadReply>> sets;
+    for (int i = 0; i < 16; ++i) sets.push_back(random_replies(r, rng));
+    MaskingScratch scratch;
+    select_masking(sets[0], 1, scratch);  // warm-up: the table grows here
+    std::uint32_t vouchers = 0;
+    const std::uint64_t before = g_allocations.load();
+    for (const auto& replies : sets) {
+      for (const std::uint32_t k : {1u, r / 4, r}) {
+        vouchers += select_masking(replies, k, scratch).vouchers;
+      }
+    }
+    EXPECT_EQ(g_allocations.load() - before, 0u) << "r=" << r;
+    EXPECT_GT(vouchers, 0u);
+  }
 }
 
 }  // namespace
