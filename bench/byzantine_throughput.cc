@@ -11,19 +11,18 @@
 //     reporting ops/sec and tail latency per rule plus the overhead
 //     ratio vs plain, so CI can see what Byzantine tolerance costs an
 //     honest deployment. Every section is also a functional gate: the
-//     per-shard aggregates re-run with {1, 8} workers and the allocating
-//     draw path and must agree bit for bit, and the Byzantine counters
-//     (rejected_forgeries, masked_reads) must be exactly zero under
-//     plain and dissemination (masking rejects sub-k groups of honest
-//     stale replies too — by design — so its counters are reported, not
-//     zero-gated).
+//     per-shard aggregates re-run with {1, 8} workers and must agree bit
+//     for bit, and the Byzantine counters (rejected_forgeries,
+//     masked_reads) must be exactly zero under plain and dissemination
+//     (masking rejects sub-k groups of honest stale replies too — by
+//     design — so its counters are reported, not zero-gated).
 //
 //   * a live fault-injection run — the masking section re-runs with b =
 //     4 servers flipped to kCollude through KvService::submit_fault
 //     mid-stream (and healed with kCorrect later), so the fault flips
 //     ride the shard rings at definite FIFO positions exactly like churn
-//     events. The run must stay bit-identical across worker counts and
-//     draw paths, apply every flip, and show the masking rule working:
+//     events. The run must stay bit-identical across worker counts, apply
+//     every flip, and show the masking rule working:
 //     rejected_forgeries > 0 while the colluders are live.
 //
 //   * a fabrication-epsilon sweep over replica::InstantCluster — for
@@ -43,8 +42,8 @@
 //     zero: the bench asserts zero fabrications outright. The batched
 //     Monte Carlo estimator (core::estimate_fabrication_epsilon) runs
 //     alongside and must bracket the closed form in its Wilson interval.
-//     A fixed-schedule replay across {1, 8} threads and both draw paths
-//     gates bit-identity of the measurement itself.
+//     A fixed-schedule replay across {1, 8} threads gates bit-identity of
+//     the measurement itself.
 //
 // Flags: --threads=N (shard-serving workers for the timed runs, 0 =
 // hardware), --samples=N (requests per section and pairs per epsilon
@@ -78,7 +77,6 @@
 namespace pqs {
 namespace {
 
-using replica::DrawPath;
 using replica::ReadMode;
 
 constexpr std::uint32_t kUniverse = 64;  // R(64, 16) per shard
@@ -145,12 +143,11 @@ struct RunOutcome {
 // a pure function of (ops, seed, script) — the determinism precondition.
 RunOutcome drive(const std::shared_ptr<const quorum::QuorumSystem>& sys,
                  const SectionSpec& section, std::uint32_t workers,
-                 DrawPath path, std::uint64_t ops, std::uint64_t seed) {
+                 std::uint64_t ops, std::uint64_t seed) {
   serve::KvService::Config cfg;
   cfg.shards = kShards;
   cfg.workers = workers;
   cfg.quorums = sys;
-  cfg.draw_path = path;
   cfg.seed = seed;
   cfg.read_mode = section.mode;
   cfg.read_threshold = section.mode == ReadMode::kMasking ? masking_k() : 1;
@@ -221,13 +218,12 @@ struct ByzantineRun {
 // record. Fabricated iff the selection is the forged value; failed iff
 // the selection is anything but the value just written.
 ByzantineRun byzantine_shard(std::uint32_t b, std::uint64_t pairs,
-                             std::uint64_t seed, DrawPath path) {
+                             std::uint64_t seed) {
   replica::InstantCluster::Config cfg;
   cfg.quorums = std::make_shared<core::RandomSubsetSystem>(kUniverse, kQuorum);
   cfg.mode = ReadMode::kMasking;
   cfg.read_threshold = masking_k();
   cfg.seed = seed;
-  cfg.draw_path = path;
   replica::InstantCluster cluster(
       cfg, replica::FaultPlan::prefix(kUniverse, b, replica::FaultMode::kCollude));
   const std::int64_t forged_value = replica::ColludePlan{}.value;
@@ -253,12 +249,12 @@ ByzantineRun byzantine_shard(std::uint32_t b, std::uint64_t pairs,
 std::vector<ByzantineRun> byzantine_shards(std::uint32_t b,
                                            std::uint64_t pairs_per_shard,
                                            std::uint32_t shards,
-                                           unsigned threads, DrawPath path) {
+                                           unsigned threads) {
   std::vector<ByzantineRun> runs(shards);
   util::WorkerPool pool(threads);
   pool.run(shards, [&](std::uint64_t s) {
     runs[s] = byzantine_shard(b, pairs_per_shard,
-                              /*seed=*/211 + 1000003 * s, path);
+                              /*seed=*/211 + 1000003 * s);
   });
   return runs;
 }
@@ -341,8 +337,7 @@ std::vector<SweepPoint> byzantine_sweep(std::uint64_t pairs_per_shard,
 
     ByzantineRun total;
     for (const ByzantineRun& r :
-         byzantine_shards(b, pairs_per_shard, kEpsShards, threads,
-                          DrawPath::kMask)) {
+         byzantine_shards(b, pairs_per_shard, kEpsShards, threads)) {
       total.pairs += r.pairs;
       total.fabricated += r.fabricated;
       total.failures += r.failures;
@@ -364,23 +359,20 @@ std::vector<SweepPoint> byzantine_sweep(std::uint64_t pairs_per_shard,
   }
 
   // The measurement is a replay: per-shard results bit-identical across
-  // {1, 8} threads and both draw paths at the most adversarial point.
+  // {1, 8} threads at the most adversarial point.
   const std::uint64_t replay_pairs =
       std::min<std::uint64_t>(pairs_per_shard, 2000);
-  const auto reference = byzantine_shards(kColluders, replay_pairs,
-                                          kEpsShards, 1, DrawPath::kMask);
+  const auto reference =
+      byzantine_shards(kColluders, replay_pairs, kEpsShards, 1);
   for (const unsigned threads_check : {1u, 8u}) {
-    for (const DrawPath path : {DrawPath::kMask, DrawPath::kAllocating}) {
-      const auto runs = byzantine_shards(kColluders, replay_pairs,
-                                         kEpsShards, threads_check, path);
-      for (std::uint32_t s = 0; s < kEpsShards; ++s) {
-        if (!(runs[s] == reference[s])) {
-          std::printf("MISMATCH: byzantine measurement diverged at "
-                      "threads=%u path=%s shard=%u\n",
-                      threads_check,
-                      path == DrawPath::kMask ? "mask" : "alloc", s);
-          ok = false;
-        }
+    const auto runs =
+        byzantine_shards(kColluders, replay_pairs, kEpsShards, threads_check);
+    for (std::uint32_t s = 0; s < kEpsShards; ++s) {
+      if (!(runs[s] == reference[s])) {
+        std::printf("MISMATCH: byzantine measurement diverged at "
+                    "threads=%u shard=%u\n",
+                    threads_check, s);
+        ok = false;
       }
     }
   }
@@ -473,12 +465,9 @@ int main_impl(int argc, char** argv) {
   for (const SectionSpec& section : make_sections(ops)) {
     const std::uint64_t seed =
         0xb52u + 131 * static_cast<std::uint64_t>(reports.size());
-    const RunOutcome timed = drive(sys, section, workers, DrawPath::kMask,
-                                   ops, seed);
-    const RunOutcome w1 = drive(sys, section, 1, DrawPath::kMask, ops, seed);
-    const RunOutcome w8 = drive(sys, section, 8, DrawPath::kMask, ops, seed);
-    const RunOutcome alloc =
-        drive(sys, section, workers, DrawPath::kAllocating, ops, seed);
+    const RunOutcome timed = drive(sys, section, workers, ops, seed);
+    const RunOutcome w1 = drive(sys, section, 1, ops, seed);
+    const RunOutcome w8 = drive(sys, section, 8, ops, seed);
     if (!(timed.aggregates == w1.aggregates) ||
         !(timed.aggregates == w8.aggregates)) {
       std::printf("MISMATCH: %s shard aggregates differ across worker "
@@ -486,13 +475,7 @@ int main_impl(int argc, char** argv) {
                   section.name.c_str());
       ok = false;
     }
-    if (!(timed.aggregates == alloc.aggregates)) {
-      std::printf("MISMATCH: %s shard aggregates differ across draw paths\n",
-                  section.name.c_str());
-      ok = false;
-    }
-    if (!timed.drained_all || !w1.drained_all || !w8.drained_all ||
-        !alloc.drained_all) {
+    if (!timed.drained_all || !w1.drained_all || !w8.drained_all) {
       std::printf("MISMATCH: %s lost requests or fault events in the "
                   "drain\n",
                   section.name.c_str());
@@ -546,8 +529,8 @@ int main_impl(int argc, char** argv) {
     write_json(opts.json.c_str(), reports, sweep, ops, ok);
   }
 
-  std::printf(ok ? "OK: aggregates bit-identical across worker counts and "
-                   "draw paths; fabrication and failure rates within their "
+  std::printf(ok ? "OK: aggregates bit-identical across worker counts; "
+                   "fabrication and failure rates within their "
                    "masking-epsilon bounds\n"
                  : "FAILED: see mismatches above\n");
   return ok ? 0 : 1;

@@ -10,10 +10,9 @@ bench measures on a quiet machine) so shared-runner noise cannot flap
 the gate while genuine order-of-magnitude regressions still trip it.
 
 Also fails if the report's own "ok" flag is false (the bench's
-per-shard bit-identity gates across {1,8} workers and the
-mask/allocating draw paths under live fault injection, plus the
-Lemma 5.7 / Definition 5.1 Chernoff bounds on measured fabrication and
-failure rates), if a baselined section is missing, or if the byzantine
+per-shard bit-identity gates across {1,8} workers under live fault
+injection, plus the Lemma 5.7 / Definition 5.1 Chernoff bounds on
+measured fabrication and failure rates), if a baselined section is missing, or if the byzantine
 sweep produced no points or any point whose measured rate exceeds its
 bound (fabrication at b < k must be exactly zero — the structural-zero
 case of the hypergeometric tail).

@@ -10,11 +10,10 @@ measures on a quiet machine) so shared-runner noise cannot flap the gate
 while genuine order-of-magnitude regressions still trip it.
 
 Also fails if the report's own "ok" flag is false (the bench's per-shard
-bit-identity gates across {1,8} workers and the mask/allocating draw
-paths under churn, plus the timed-epsilon Chernoff bounds on measured
-stale rates), if a baselined section is missing, or if the epsilon sweep
-produced no points or any point whose measured stale rate exceeds its
-Chernoff bound.
+bit-identity gates across {1,8} workers under churn, plus the
+timed-epsilon Chernoff bounds on measured stale rates), if a baselined
+section is missing, or if the epsilon sweep produced no points or any
+point whose measured stale rate exceeds its Chernoff bound.
 
 Usage: check_churn_regression.py BENCH_churn.json churn_baseline.json
 """

@@ -199,60 +199,34 @@ void register_kernel_benches() {
   }
 }
 
-void BM_SampleQuorum_RandomSubset(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const core::RandomSubsetSystem sys(n, bench_quorum_size(n));
-  math::Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.sample(rng));
-  }
-}
-
-void BM_SampleQuorum_Grid(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto sys = quorum::GridSystem::square(n);
-  math::Rng rng(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.sample(rng));
-  }
-}
-
-void BM_SampleQuorum_Wall(benchmark::State& state) {
+void BM_SampleMask_Wall(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const auto side = static_cast<std::uint32_t>(std::sqrt(double(n)));
   const auto sys = quorum::WallSystem::uniform(side, side);
   math::Rng rng(3);
+  quorum::QuorumBitset mask(sys.universe_size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.sample(rng));
+    sys.sample_mask(mask, rng);
+    benchmark::DoNotOptimize(mask.words());
   }
 }
 
-void BM_SampleQuorum_Weighted(benchmark::State& state) {
+void BM_SampleMask_Weighted(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   std::vector<std::uint32_t> votes(n, 1);
   for (std::uint32_t i = 0; i < n / 10; ++i) votes[i] = 4;
   const std::uint32_t total = n + (n / 10) * 3;
   const quorum::WeightedVotingSystem sys(votes, total / 2 + 1);
   math::Rng rng(4);
+  quorum::QuorumBitset mask(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.sample(rng));
+    sys.sample_mask(mask, rng);
+    benchmark::DoNotOptimize(mask.words());
   }
 }
 
-void BM_SampleQuorumInto_RandomSubset(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const core::RandomSubsetSystem sys(n, bench_quorum_size(n));
-  math::Rng rng(1);
-  quorum::Quorum q;
-  for (auto _ : state) {
-    sys.sample_into(q, rng);
-    benchmark::DoNotOptimize(q.data());
-  }
-}
-
-// Mask vs sorted-vector draw paths (same member sets, same rng draws): the
-// mask path skips the sort entirely. Compare BM_SampleMask_* against the
-// matching BM_SampleQuorumInto_* rows.
+// The one draw every construction implements: a quorum straight into a
+// reused bitset.
 void BM_SampleMask_RandomSubset(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const core::RandomSubsetSystem sys(n, bench_quorum_size(n));
@@ -264,17 +238,6 @@ void BM_SampleMask_RandomSubset(benchmark::State& state) {
   }
 }
 
-void BM_SampleQuorumInto_Threshold(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const quorum::ThresholdSystem sys(n, n / 2 + 1);
-  math::Rng rng(5);
-  quorum::Quorum q;
-  for (auto _ : state) {
-    sys.sample_into(q, rng);
-    benchmark::DoNotOptimize(q.data());
-  }
-}
-
 void BM_SampleMask_Threshold(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const quorum::ThresholdSystem sys(n, n / 2 + 1);
@@ -283,17 +246,6 @@ void BM_SampleMask_Threshold(benchmark::State& state) {
   for (auto _ : state) {
     sys.sample_mask(mask, rng);
     benchmark::DoNotOptimize(mask.words());
-  }
-}
-
-void BM_SampleQuorumInto_Grid(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto sys = quorum::GridSystem::square(n);
-  math::Rng rng(6);
-  quorum::Quorum q;
-  for (auto _ : state) {
-    sys.sample_into(q, rng);
-    benchmark::DoNotOptimize(q.data());
   }
 }
 
@@ -503,12 +455,8 @@ void BM_MacSignVerify(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_SampleQuorum_RandomSubset)->Arg(100)->Arg(900)->Arg(10000);
-BENCHMARK(BM_SampleQuorumInto_RandomSubset)->Arg(100)->Arg(900)->Arg(10000);
 BENCHMARK(BM_SampleMask_RandomSubset)->Arg(100)->Arg(900)->Arg(10000);
-BENCHMARK(BM_SampleQuorumInto_Threshold)->Arg(100)->Arg(900)->Arg(10000);
 BENCHMARK(BM_SampleMask_Threshold)->Arg(100)->Arg(900)->Arg(10000);
-BENCHMARK(BM_SampleQuorumInto_Grid)->Arg(100)->Arg(900)->Arg(10000);
 BENCHMARK(BM_SampleMask_Grid)->Arg(100)->Arg(900)->Arg(10000);
 BENCHMARK(BM_AliveMask_Scalar)->Arg(900)->Arg(10000);
 BENCHMARK(BM_AliveMask_Batched)->Arg(900)->Arg(10000);
@@ -527,9 +475,8 @@ BENCHMARK(BM_EstimateFailureProbability_Engine)
     ->Args({900, 1})
     ->Args({900, 8})
     ->UseRealTime();
-BENCHMARK(BM_SampleQuorum_Grid)->Arg(100)->Arg(900);
-BENCHMARK(BM_SampleQuorum_Wall)->Arg(100)->Arg(900);
-BENCHMARK(BM_SampleQuorum_Weighted)->Arg(100)->Arg(900);
+BENCHMARK(BM_SampleMask_Wall)->Arg(100)->Arg(900);
+BENCHMARK(BM_SampleMask_Weighted)->Arg(100)->Arg(900);
 BENCHMARK(BM_EpsilonExact_Intersecting)->Arg(100)->Arg(900)->Arg(10000);
 BENCHMARK(BM_EpsilonExact_Dissemination)->Arg(100)->Arg(900);
 BENCHMARK(BM_EpsilonExact_Masking)->Arg(100)->Arg(900)->Arg(10000);

@@ -2,27 +2,21 @@
 //
 // Drives N independent InstantCluster shards (each a full server set plus a
 // single-writer client loop) over a worker pool, running a Zipfian
-// read/write mix from workload/, and reports write/read ops/sec for the two
-// quorum draw paths side by side:
+// read/write mix from workload/, and reports write/read ops/sec through the
+// protocol path: sample_mask into per-cluster bitset scratch, direct
+// Server::apply_write/serve_read calls, results materialized into reused
+// vectors.
 //
-//   allocating — the original flow: QuorumSystem::sample() returning a
-//                fresh sorted vector per op, Server::process() returning an
-//                Outbound vector per message;
-//   mask       — the zero-allocation flow: sample_mask into per-cluster
-//                bitset scratch, direct Server::apply_write/serve_read
-//                calls, results materialized into reused vectors.
-//
-// Both paths draw the same member sets from the same rng streams, so every
+// Because shards are self-contained and folded in index order, every
 // aggregate counter (reads, writes, stale reads, per-server access
-// checksum) must match bit for bit between them — and, because shards are
-// self-contained and folded in index order, must be identical at any
-// thread count. The bench verifies both properties and exits nonzero on
-// any mismatch, which makes it a functional gate as well as a perf report.
+// checksum) must be identical at any thread count. The bench verifies that
+// and exits nonzero on any mismatch, which makes it a functional gate as
+// well as a perf report.
 //
 // A global operator new/delete override counts heap allocations, so the
-// "allocs/op" column is measured, not asserted: the mask path's figure is
-// amortized setup (scratch growth, the per-key map) and tends to zero with
-// the op count; the allocating path pays per operation.
+// "allocs/op" column is measured, not asserted: the figure is amortized
+// setup (scratch growth, the per-key map) and tends to zero with the op
+// count.
 //
 // Flags: --threads=N (pool size, 0 = hardware), --samples=N (ops per
 // shard; default 100000), --writers=N (contending writer clients per shard
@@ -45,8 +39,8 @@
 // selected record back to quorum members that answered stale
 // (InstantCluster::read_repair_into); repair consumes no rng draws, so the
 // quorum streams are unchanged and the profile shift is purely the repair
-// traffic. The repair run is verified bit-identical across draw paths and
-// thread counts, like the main section.
+// traffic. The repair run is verified bit-identical across thread counts,
+// like the main section.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -73,7 +67,6 @@
 namespace pqs {
 namespace {
 
-using replica::DrawPath;
 using replica::InstantCluster;
 
 constexpr std::uint32_t kShards = 8;
@@ -88,43 +81,6 @@ std::shared_ptr<const quorum::QuorumSystem> make_system(int which) {
     default:
       return std::make_shared<core::RandomSubsetSystem>(100, 30);
   }
-}
-
-// The original op loop, reproduced for the A/B: per-op result structs from
-// the allocating draw path (which also dispatches through process() and
-// its Outbound vectors), with the same key/mix draws as
-// workload::run_workload_into so the two runners stay counter-identical.
-workload::WorkloadReport run_legacy(InstantCluster& cluster,
-                                    const workload::WorkloadSpec& spec,
-                                    math::Rng& rng) {
-  const workload::ZipfianKeys keys(spec.keys, spec.zipf_exponent);
-  workload::WorkloadReport report;
-  report.server_accesses.assign(cluster.universe_size(), 0);
-  std::unordered_map<std::uint64_t, std::int64_t> last_written;
-  std::int64_t next_value = 0;
-  for (std::uint64_t op = 0; op < spec.operations; ++op) {
-    const std::uint64_t key = keys.sample(rng);
-    if (rng.chance(spec.read_fraction)) {
-      ++report.reads;
-      const auto r = cluster.read(key);
-      for (auto u : r.quorum) ++report.server_accesses[u];
-      const auto expected = last_written.find(key);
-      if (expected == last_written.end()) {
-        ++report.empty_reads;
-      } else if (!r.selection.has_value) {
-        ++report.empty_reads;
-        ++report.stale_reads;
-      } else if (r.selection.record.value != expected->second) {
-        ++report.stale_reads;
-      }
-    } else {
-      ++report.writes;
-      const auto w = cluster.write(key, ++next_value);
-      for (auto u : w.quorum) ++report.server_accesses[u];
-      last_written[key] = next_value;
-    }
-  }
-  return report;
 }
 
 struct Aggregate {
@@ -163,8 +119,7 @@ struct RunResult {
 };
 
 RunResult run_shards(const std::shared_ptr<const quorum::QuorumSystem>& sys,
-                     DrawPath path, std::uint64_t ops_per_shard,
-                     unsigned threads) {
+                     std::uint64_t ops_per_shard, unsigned threads) {
   workload::WorkloadSpec spec;
   spec.keys = 64;
   spec.zipf_exponent = 0.99;
@@ -177,7 +132,6 @@ RunResult run_shards(const std::shared_ptr<const quorum::QuorumSystem>& sys,
     InstantCluster::Config cfg;
     cfg.quorums = sys;
     cfg.seed = 1000003ULL * (s + 1);
-    cfg.draw_path = path;
     clusters.push_back(std::make_unique<InstantCluster>(cfg));
   }
   std::vector<workload::WorkloadReport> reports(kShards);
@@ -187,11 +141,7 @@ RunResult run_shards(const std::shared_ptr<const quorum::QuorumSystem>& sys,
   const auto t0 = std::chrono::steady_clock::now();
   pool.run(kShards, [&](std::uint64_t s) {
     math::Rng rng(7777 + s);
-    if (path == DrawPath::kMask) {
-      workload::run_workload_into(*clusters[s], spec, rng, reports[s]);
-    } else {
-      reports[s] = run_legacy(*clusters[s], spec, rng);
-    }
+    workload::run_workload_into(*clusters[s], spec, rng, reports[s]);
   });
   const auto t1 = std::chrono::steady_clock::now();
   const std::uint64_t after = bench::allocations();
@@ -254,7 +204,7 @@ struct MultiWriterResult {
     return stats::LoadProfile(std::move(hits), writes + reads);
   }
   // Everything deterministic (no timings): the bit-identity gate across
-  // draw paths and thread counts.
+  // thread counts.
   bool counters_equal(const MultiWriterResult& o) const {
     return writes == o.writes && reads == o.reads &&
            conflicts == o.conflicts && covered == o.covered &&
@@ -266,7 +216,7 @@ struct MultiWriterResult {
 MultiWriterResult run_multi_writer(
     const std::shared_ptr<const quorum::QuorumSystem>& sys,
     std::uint32_t writers, std::uint64_t ops_per_shard, unsigned threads,
-    DrawPath path, bool repair) {
+    bool repair) {
   struct ShardStats {
     std::uint64_t writes = 0, reads = 0, conflicts = 0, covered = 0;
     std::uint64_t write_contacts = 0, repairs = 0;
@@ -279,7 +229,6 @@ MultiWriterResult run_multi_writer(
     InstantCluster::Config cfg;
     cfg.quorums = sys;
     cfg.seed = 2000003ULL * (s + 1);
-    cfg.draw_path = path;
     clusters.push_back(std::make_unique<InstantCluster>(cfg));
   }
   std::vector<ShardStats> stats(kShards);
@@ -369,12 +318,12 @@ struct DrawRate {
   double per_sec;
 };
 
-// Raw draw throughput: the three draw entry points plus the batched one,
-// single-threaded so the numbers isolate per-draw cost. Each entry point
-// draws in blocks of kDrawBlock until kMinDrawTime of wall time have
-// passed, whatever --samples is, and reports its fastest block: other
-// processes on the host can only slow a block down, so the fastest of a
-// few hundred is the closest to the draw's own cost.
+// Raw draw throughput: the draw and its batched form, single-threaded so
+// the numbers isolate per-draw cost. Each entry point draws in blocks of
+// kDrawBlock until kMinDrawTime of wall time have passed, whatever
+// --samples is, and reports its fastest block: other processes on the
+// host can only slow a block down, so the fastest of a few hundred is the
+// closest to the draw's own cost.
 std::vector<DrawRate> raw_draw_section(
     const std::shared_ptr<const quorum::QuorumSystem>& sys) {
   constexpr auto kMinDrawTime = std::chrono::milliseconds(250);
@@ -399,12 +348,6 @@ std::vector<DrawRate> raw_draw_section(
     std::printf("[draw] system=%s entry=%s draws/sec=%.3g\n",
                 sys->name().c_str(), label, rates.back().per_sec);
   };
-  time_loop("sample", [&] {
-    for (std::uint64_t i = 0; i < kDrawBlock; ++i) {
-      const auto q = sys->sample(rng);
-      if (q.empty()) std::abort();
-    }
-  });
   quorum::QuorumBitset mask(n);
   time_loop("sample_mask", [&] {
     for (std::uint64_t i = 0; i < kDrawBlock; ++i) sys->sample_mask(mask, rng);
@@ -421,8 +364,7 @@ std::vector<DrawRate> raw_draw_section(
 // One system's full measurement set, kept for the JSON report.
 struct SystemReport {
   std::string name;
-  RunResult legacy;
-  RunResult mask;
+  RunResult single;
   MultiWriterResult multi;
   bool has_repair = false;
   MultiWriterResult repaired;
@@ -479,13 +421,9 @@ void write_json(const char* path, const std::vector<SystemReport>& systems,
     std::fprintf(
         f,
         "    {\n      \"name\": \"%s\",\n"
-        "      \"allocating\": {\"ops_per_sec\": %.6g, \"allocs_per_op\": "
-        "%.4f},\n"
-        "      \"mask\": {\"ops_per_sec\": %.6g, \"allocs_per_op\": %.4f},\n"
-        "      \"speedup\": %.4f,\n",
-        s.name.c_str(), total_ops / s.legacy.seconds, s.legacy.allocs_per_op,
-        total_ops / s.mask.seconds, s.mask.allocs_per_op,
-        s.legacy.seconds / s.mask.seconds);
+        "      \"single_writer\": {\"ops_per_sec\": %.6g, "
+        "\"allocs_per_op\": %.4f},\n",
+        s.name.c_str(), total_ops / s.single.seconds, s.single.allocs_per_op);
     write_multi_writer_json(f, "multi_writer", s.multi, writers, total_ops);
     if (s.has_repair) {
       std::fprintf(f, ",\n");
@@ -523,20 +461,10 @@ int main_impl(int argc, char** argv) {
   std::vector<SystemReport> reports;
   for (int which = 0; which < 3; ++which) {
     const auto sys = make_system(which);
-    const RunResult legacy =
-        run_shards(sys, DrawPath::kAllocating, ops_per_shard, threads);
-    const RunResult mask =
-        run_shards(sys, DrawPath::kMask, ops_per_shard, threads);
-    // Same draws, same protocol: every counter matches or the bench fails.
-    if (!(legacy.aggregate == mask.aggregate)) {
-      std::printf("MISMATCH: %s aggregates differ between draw paths\n",
-                  sys->name().c_str());
-      ok = false;
-    }
-    // And thread scheduling must not be able to change the fold.
-    const RunResult mask_serial =
-        run_shards(sys, DrawPath::kMask, ops_per_shard, 1);
-    if (!(mask_serial.aggregate == mask.aggregate)) {
+    const RunResult single = run_shards(sys, ops_per_shard, threads);
+    // Thread scheduling must not be able to change the fold.
+    const RunResult serial = run_shards(sys, ops_per_shard, 1);
+    if (!(serial.aggregate == single.aggregate)) {
       std::printf("MISMATCH: %s aggregates differ between thread counts\n",
                   sys->name().c_str());
       ok = false;
@@ -544,20 +472,13 @@ int main_impl(int argc, char** argv) {
     const double total_ops =
         static_cast<double>(ops_per_shard) * static_cast<double>(kShards);
     std::printf(
-        "[protocol] system=%s path=allocating ops/sec=%.3g allocs/op=%.2f "
-        "stale=%" PRIu64 " checksum=%" PRIu64 "\n",
-        sys->name().c_str(), total_ops / legacy.seconds, legacy.allocs_per_op,
-        legacy.aggregate.stale_reads, legacy.aggregate.access_checksum);
-    std::printf(
-        "[protocol] system=%s path=mask       ops/sec=%.3g allocs/op=%.2f "
-        "stale=%" PRIu64 " checksum=%" PRIu64 "\n",
-        sys->name().c_str(), total_ops / mask.seconds, mask.allocs_per_op,
-        mask.aggregate.stale_reads, mask.aggregate.access_checksum);
-    std::printf("[protocol] system=%s speedup=%.2fx\n", sys->name().c_str(),
-                legacy.seconds / mask.seconds);
+        "[protocol] system=%s ops/sec=%.3g allocs/op=%.2f stale=%" PRIu64
+        " checksum=%" PRIu64 "\n",
+        sys->name().c_str(), total_ops / single.seconds, single.allocs_per_op,
+        single.aggregate.stale_reads, single.aggregate.access_checksum);
 
-    const MultiWriterResult multi = run_multi_writer(
-        sys, writers, ops_per_shard, threads, DrawPath::kMask, false);
+    const MultiWriterResult multi =
+        run_multi_writer(sys, writers, ops_per_shard, threads, false);
     const stats::LoadProfile base_profile = multi.server_profile();
     std::printf(
         "[multiwriter] system=%s writers=%u ops/sec=%.3g conflict_rate=%.4f "
@@ -569,28 +490,20 @@ int main_impl(int argc, char** argv) {
         base_profile.max_load(), base_profile.imbalance(),
         multi.allocs_per_op);
 
-    SystemReport report{sys->name(), legacy, mask, multi, false, {}};
+    SystemReport report{sys->name(), single, multi, false, {}, {}};
     if (repair) {
       // The read-repair experiment: same draws (repair consumes no rng),
       // so the access counters match the base run by construction, and the
-      // whole run must be bit-identical across draw paths and thread
-      // counts like the main section.
+      // whole run must be bit-identical across thread counts like the main
+      // section.
       report.has_repair = true;
-      report.repaired = run_multi_writer(sys, writers, ops_per_shard,
-                                         threads, DrawPath::kMask, true);
-      const MultiWriterResult repaired_serial = run_multi_writer(
-          sys, writers, ops_per_shard, 1, DrawPath::kMask, true);
+      report.repaired =
+          run_multi_writer(sys, writers, ops_per_shard, threads, true);
+      const MultiWriterResult repaired_serial =
+          run_multi_writer(sys, writers, ops_per_shard, 1, true);
       if (!report.repaired.counters_equal(repaired_serial)) {
         std::printf(
             "MISMATCH: %s repair aggregates differ between thread counts\n",
-            sys->name().c_str());
-        ok = false;
-      }
-      const MultiWriterResult repaired_alloc = run_multi_writer(
-          sys, writers, ops_per_shard, threads, DrawPath::kAllocating, true);
-      if (!report.repaired.counters_equal(repaired_alloc)) {
-        std::printf(
-            "MISMATCH: %s repair aggregates differ between draw paths\n",
             sys->name().c_str());
         ok = false;
       }
@@ -628,8 +541,7 @@ int main_impl(int argc, char** argv) {
     write_json(opts.json.c_str(), reports, ops_per_shard, writers, ok);
   }
 
-  std::printf(ok ? "OK: aggregates bit-identical across draw paths and "
-                   "thread counts\n"
+  std::printf(ok ? "OK: aggregates bit-identical across thread counts\n"
                  : "FAILED: see mismatches above\n");
   return ok ? 0 : 1;
 }

@@ -16,9 +16,9 @@
 // Every unpaced section is also a functional gate: the per-shard aggregate
 // counters (reads, writes, stale/empty reads, position-weighted access
 // checksum) are a pure function of the request stream, so the bench re-runs
-// each section with 1 and 8 shard-serving workers and with the allocating
-// draw path, and exits nonzero unless all four runs agree shard by shard —
-// and unless every submitted request was drained into the histogram.
+// each section with 1 and 8 shard-serving workers, and exits nonzero unless
+// all three runs agree shard by shard — and unless every submitted request
+// was drained into the histogram.
 //
 // A global operator new/delete override (alloc_count.h) measures heap
 // allocations across the timed window, so "allocs/op" is observed, not
@@ -50,8 +50,6 @@
 
 namespace pqs {
 namespace {
-
-using replica::DrawPath;
 
 constexpr std::uint32_t kUniverse = 25;  // majority quorums contact 13
 constexpr std::uint64_t kKeys = 4096;
@@ -96,14 +94,13 @@ struct RunOutcome {
 // producer (per-shard order is then the generator order, the determinism
 // precondition), drain, and collect everything observable.
 RunOutcome drive(const std::shared_ptr<const quorum::QuorumSystem>& sys,
-                 std::uint32_t shards, std::uint32_t workers, DrawPath path,
+                 std::uint32_t shards, std::uint32_t workers,
                  const workload::OpenLoopSpec& spec, std::uint64_t ops,
                  std::uint64_t seed) {
   serve::KvService::Config cfg;
   cfg.shards = shards;
   cfg.workers = workers;
   cfg.quorums = sys;
-  cfg.draw_path = path;
   cfg.seed = seed;
   serve::KvService service(cfg);
   workload::OpenLoopGenerator gen(spec, seed ^ 0xa02bdbf7bb3c0a7ULL);
@@ -323,17 +320,13 @@ int main_impl(int argc, char** argv) {
     const std::uint64_t seed =
         0xbadc0ffeULL + 131 * static_cast<std::uint64_t>(reports.size());
     const RunOutcome timed =
-        drive(sys, section.shards, workers, DrawPath::kMask, section.spec,
-              ops, seed);
+        drive(sys, section.shards, workers, section.spec, ops, seed);
     // The gates: the per-shard aggregates are a pure function of the
-    // request stream, so worker count and draw path must not change them.
-    const RunOutcome w1 = drive(sys, section.shards, 1, DrawPath::kMask,
-                                section.spec, ops, seed);
-    const RunOutcome w8 = drive(sys, section.shards, 8, DrawPath::kMask,
-                                section.spec, ops, seed);
-    const RunOutcome alloc = drive(sys, section.shards, workers,
-                                   DrawPath::kAllocating, section.spec, ops,
-                                   seed);
+    // request stream, so worker count must not change them.
+    const RunOutcome w1 =
+        drive(sys, section.shards, 1, section.spec, ops, seed);
+    const RunOutcome w8 =
+        drive(sys, section.shards, 8, section.spec, ops, seed);
     if (!(timed.aggregates == w1.aggregates) ||
         !(timed.aggregates == w8.aggregates)) {
       std::printf("MISMATCH: %s shard aggregates differ across worker "
@@ -341,13 +334,7 @@ int main_impl(int argc, char** argv) {
                   section.name.c_str());
       ok = false;
     }
-    if (!(timed.aggregates == alloc.aggregates)) {
-      std::printf("MISMATCH: %s shard aggregates differ across draw paths\n",
-                  section.name.c_str());
-      ok = false;
-    }
-    if (!timed.drained_all || !w1.drained_all || !w8.drained_all ||
-        !alloc.drained_all) {
+    if (!timed.drained_all || !w1.drained_all || !w8.drained_all) {
       std::printf("MISMATCH: %s lost requests (histogram/aggregate count != "
                   "submitted ops)\n",
                   section.name.c_str());
@@ -384,8 +371,7 @@ int main_impl(int argc, char** argv) {
     write_json(opts.json.c_str(), reports, sweep, ops, ok);
   }
 
-  std::printf(ok ? "OK: shard aggregates bit-identical across worker counts "
-                   "and draw paths\n"
+  std::printf(ok ? "OK: shard aggregates bit-identical across worker counts\n"
                  : "FAILED: see mismatches above\n");
   return ok ? 0 : 1;
 }

@@ -16,8 +16,8 @@
 //     fixed construction vs the optimized strategy on the same open-loop
 //     stream, reporting ops/sec and p50/p99 latency. Every section is
 //     also a functional gate: per-shard aggregates (strategy draw counts
-//     and checksums included) re-run with {1, 8} workers and the
-//     allocating draw path and must agree shard by shard.
+//     and checksums included) re-run with {1, 8} workers and must agree
+//     shard by shard.
 //
 //   * a measured-vs-predicted epsilon check over replica::InstantCluster —
 //     sharded write/read pairs through the optimized strategy measure the
@@ -56,7 +56,6 @@
 namespace pqs {
 namespace {
 
-using replica::DrawPath;
 
 constexpr std::uint32_t kUniverse = 36;  // R(36, 12)
 constexpr std::uint32_t kQuorum = 12;
@@ -133,7 +132,7 @@ struct RunOutcome {
 // (strategy == nullptr) or the optimized strategy.
 RunOutcome drive(const std::shared_ptr<const quorum::QuorumSystem>& sys,
                  const std::shared_ptr<const quorum::Strategy>& strategy,
-                 std::uint32_t workers, DrawPath path, std::uint64_t ops,
+                 std::uint32_t workers, std::uint64_t ops,
                  std::uint64_t seed) {
   serve::KvService::Config cfg;
   cfg.shards = kShards;
@@ -143,7 +142,6 @@ RunOutcome drive(const std::shared_ptr<const quorum::QuorumSystem>& sys,
   } else {
     cfg.quorums = sys;
   }
-  cfg.draw_path = path;
   cfg.seed = seed;
   serve::KvService service(cfg);
 
@@ -194,12 +192,10 @@ struct StalenessRun {
 };
 
 StalenessRun epsilon_shard(const std::shared_ptr<const quorum::Strategy>& s,
-                           std::uint64_t pairs, std::uint64_t seed,
-                           DrawPath path) {
+                           std::uint64_t pairs, std::uint64_t seed) {
   replica::InstantCluster::Config cfg;
   cfg.strategy = s;
   cfg.seed = seed;
-  cfg.draw_path = path;
   replica::InstantCluster cluster(cfg);
   StalenessRun run;
   run.pairs = pairs;
@@ -219,13 +215,12 @@ StalenessRun epsilon_shard(const std::shared_ptr<const quorum::Strategy>& s,
 
 std::vector<StalenessRun> epsilon_shards(
     const std::shared_ptr<const quorum::Strategy>& s,
-    std::uint64_t pairs_per_shard, std::uint32_t shards, unsigned threads,
-    DrawPath path) {
+    std::uint64_t pairs_per_shard, std::uint32_t shards, unsigned threads) {
   std::vector<StalenessRun> runs(shards);
   util::WorkerPool pool(threads);
   pool.run(shards, [&](std::uint64_t shard) {
     runs[shard] = epsilon_shard(s, pairs_per_shard,
-                                /*seed=*/211 + 1000003 * shard, path);
+                                /*seed=*/211 + 1000003 * shard);
   });
   return runs;
 }
@@ -252,8 +247,7 @@ EpsilonPoint epsilon_check(const std::shared_ptr<const quorum::Strategy>& s,
   p.predicted = s->predicted_epsilon(0.0);
   StalenessRun total;
   for (const StalenessRun& r :
-       epsilon_shards(s, pairs_per_shard, kEpsShards, threads,
-                      DrawPath::kMask)) {
+       epsilon_shards(s, pairs_per_shard, kEpsShards, threads)) {
     total.pairs += r.pairs;
     total.stale += r.stale;
   }
@@ -277,24 +271,19 @@ EpsilonPoint epsilon_check(const std::shared_ptr<const quorum::Strategy>& s,
   }
 
   // The measurement is a replay: per-shard results (stale counts and the
-  // strategy draw checksum) bit-identical across {1, 8} threads and both
-  // draw paths.
+  // strategy draw checksum) bit-identical across {1, 8} threads.
   const std::uint64_t replay_pairs =
       std::min<std::uint64_t>(pairs_per_shard, 2000);
-  const auto reference =
-      epsilon_shards(s, replay_pairs, kEpsShards, 1, DrawPath::kMask);
+  const auto reference = epsilon_shards(s, replay_pairs, kEpsShards, 1);
   for (const unsigned threads_check : {1u, 8u}) {
-    for (const DrawPath path : {DrawPath::kMask, DrawPath::kAllocating}) {
-      const auto runs =
-          epsilon_shards(s, replay_pairs, kEpsShards, threads_check, path);
-      for (std::uint32_t shard = 0; shard < kEpsShards; ++shard) {
-        if (!(runs[shard] == reference[shard])) {
-          std::printf("MISMATCH: epsilon measurement diverged at threads=%u "
-                      "path=%s shard=%u\n",
-                      threads_check,
-                      path == DrawPath::kMask ? "mask" : "alloc", shard);
-          ok = false;
-        }
+    const auto runs =
+        epsilon_shards(s, replay_pairs, kEpsShards, threads_check);
+    for (std::uint32_t shard = 0; shard < kEpsShards; ++shard) {
+      if (!(runs[shard] == reference[shard])) {
+        std::printf("MISMATCH: epsilon measurement diverged at threads=%u "
+                    "shard=%u\n",
+                    threads_check, shard);
+        ok = false;
       }
     }
   }
@@ -428,12 +417,9 @@ int main_impl(int argc, char** argv) {
   for (std::size_t i = 0; i < section_specs.size(); ++i) {
     const auto& [name, strategy] = section_specs[i];
     const std::uint64_t seed = 0x57aULL + 131 * i;
-    const RunOutcome timed =
-        drive(sys, strategy, workers, DrawPath::kMask, ops, seed);
-    const RunOutcome w1 = drive(sys, strategy, 1, DrawPath::kMask, ops, seed);
-    const RunOutcome w8 = drive(sys, strategy, 8, DrawPath::kMask, ops, seed);
-    const RunOutcome alloc =
-        drive(sys, strategy, workers, DrawPath::kAllocating, ops, seed);
+    const RunOutcome timed = drive(sys, strategy, workers, ops, seed);
+    const RunOutcome w1 = drive(sys, strategy, 1, ops, seed);
+    const RunOutcome w8 = drive(sys, strategy, 8, ops, seed);
     if (!(timed.aggregates == w1.aggregates) ||
         !(timed.aggregates == w8.aggregates)) {
       std::printf("MISMATCH: %s shard aggregates differ across worker "
@@ -441,13 +427,7 @@ int main_impl(int argc, char** argv) {
                   name.c_str());
       ok = false;
     }
-    if (!(timed.aggregates == alloc.aggregates)) {
-      std::printf("MISMATCH: %s shard aggregates differ across draw paths\n",
-                  name.c_str());
-      ok = false;
-    }
-    if (!timed.drained_all || !w1.drained_all || !w8.drained_all ||
-        !alloc.drained_all) {
+    if (!timed.drained_all || !w1.drained_all || !w8.drained_all) {
       std::printf("MISMATCH: %s lost requests or strategy draws in the "
                   "drain\n",
                   name.c_str());

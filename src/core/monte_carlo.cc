@@ -208,14 +208,13 @@ double estimate_load(const quorum::QuorumSystem& system, std::uint64_t samples,
 
 math::Proportion estimate_failure_probability(
     const quorum::QuorumSystem& system, double p, std::uint64_t samples,
-    math::Rng& rng, Estimator& engine, LivenessCheck check) {
+    math::Rng& rng, Estimator& engine) {
   const std::uint32_t n = system.universe_size();
   const math::BernoulliBlockSampler dead(p);
   return engine.run_trials<math::Proportion>(
       samples, rng,
       [&](std::uint32_t, std::uint64_t shard_samples, math::Rng& shard_rng) {
         quorum::QuorumBitset alive(n);
-        std::vector<bool> scalar_alive;
         math::Proportion result;
         for (std::uint64_t s = 0; s < shard_samples; ++s) {
           // One trial's alive mask: every server dead independently with
@@ -224,17 +223,7 @@ math::Proportion estimate_failure_probability(
           dead.fill(alive.word_data(), alive.word_count(), shard_rng,
                     /*invert=*/true);
           alive.mask_padding();
-          bool live;
-          if (check == LivenessCheck::kWordParallel) {
-            live = system.has_live_quorum_mask(alive);
-          } else {
-            scalar_alive.assign(n, false);
-            for (std::uint32_t u = 0; u < n; ++u) {
-              if (alive.test(u)) scalar_alive[u] = true;
-            }
-            live = system.has_live_quorum(scalar_alive);
-          }
-          result.add(!live);
+          result.add(!system.has_live_quorum_mask(alive));
         }
         return result;
       },

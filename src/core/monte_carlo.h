@@ -87,22 +87,12 @@ double estimate_load(const quorum::QuorumSystem& system,
                      std::uint64_t samples, math::Rng& rng,
                      Estimator& engine = Estimator::shared());
 
-// How estimate_failure_probability evaluates each trial's alive mask. Both
-// paths draw identical masks from the same rng stream (batched Bernoulli),
-// so for any fixed seed the two return bit-identical Proportions — the
-// scalar path exists as the reference that keeps every construction's
-// word-parallel has_live_quorum_mask honest.
-enum class LivenessCheck {
-  kWordParallel,      // has_live_quorum_mask on the bitset (the fast path)
-  kScalarReference,   // expand to vector<bool>, has_live_quorum
-};
-
 // Frequency of "no live quorum" when every server crashes independently
-// with probability p.
+// with probability p. Each trial's alive mask is drawn as batched
+// Bernoulli blocks and checked word-parallel by has_live_quorum_mask.
 math::Proportion estimate_failure_probability(
     const quorum::QuorumSystem& system, double p, std::uint64_t samples,
-    math::Rng& rng, Estimator& engine = Estimator::shared(),
-    LivenessCheck check = LivenessCheck::kWordParallel);
+    math::Rng& rng, Estimator& engine = Estimator::shared());
 
 // The Section 3.1 remark made measurable: a *non-uniform* strategy over the
 // same set system {q-subsets of n} that draws each quorum entirely from one

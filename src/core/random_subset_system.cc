@@ -85,17 +85,6 @@ std::string RandomSubsetSystem::name() const {
   return out;
 }
 
-quorum::Quorum RandomSubsetSystem::sample(math::Rng& rng) const {
-  quorum::Quorum q;
-  sample_into(q, rng);
-  return q;
-}
-
-void RandomSubsetSystem::sample_into(quorum::Quorum& out,
-                                     math::Rng& rng) const {
-  math::sample_without_replacement(n_, q_, rng, out);
-}
-
 void RandomSubsetSystem::sample_mask(quorum::QuorumBitset& out,
                                      math::Rng& rng) const {
   out.resize(n_);
@@ -120,13 +109,7 @@ double RandomSubsetSystem::failure_probability(double p) const {
   return quorum::size_based_failure_probability(n_, q_, p);
 }
 
-bool RandomSubsetSystem::has_live_quorum(const std::vector<bool>& alive) const {
-  std::uint32_t count = 0;
-  for (bool a : alive) count += a ? 1u : 0u;
-  return count >= q_;
-}
-
-bool RandomSubsetSystem::has_live_quorum_mask(
+bool RandomSubsetSystem::any_quorum_live(
     const quorum::QuorumBitset& alive) const {
   return alive.count() >= q_;
 }

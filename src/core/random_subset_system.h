@@ -54,8 +54,6 @@ class RandomSubsetSystem final : public quorum::QuorumSystem {
   // -- QuorumSystem interface ------------------------------------------
   std::string name() const override;
   std::uint32_t universe_size() const override { return n_; }
-  quorum::Quorum sample(math::Rng& rng) const override;
-  void sample_into(quorum::Quorum& out, math::Rng& rng) const override;
   void sample_mask(quorum::QuorumBitset& out, math::Rng& rng) const override;
   void sample_masks(quorum::QuorumBitset* out, std::size_t count,
                     math::Rng& rng) const override;
@@ -63,8 +61,6 @@ class RandomSubsetSystem final : public quorum::QuorumSystem {
   double load() const override;
   std::uint32_t fault_tolerance() const override { return n_ - q_ + 1; }
   double failure_probability(double p) const override;
-  bool has_live_quorum(const std::vector<bool>& alive) const override;
-  bool has_live_quorum_mask(const quorum::QuorumBitset& alive) const override;
 
   // -- Probabilistic-quorum specifics ------------------------------------
   Regime regime() const { return regime_; }
@@ -84,6 +80,8 @@ class RandomSubsetSystem final : public quorum::QuorumSystem {
   double epsilon_bound() const;
 
  private:
+  bool any_quorum_live(const quorum::QuorumBitset& alive) const override;
+
   RandomSubsetSystem(std::uint32_t n, std::uint32_t q, std::uint32_t b,
                      std::uint32_t k, Regime regime);
 

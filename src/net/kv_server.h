@@ -17,8 +17,8 @@
 // connection the per-shard request subsequences — and therefore the
 // per-shard deterministic aggregates — are identical to the in-process
 // single-producer runs. That is the contract bench/net_throughput gates
-// across worker counts and draw paths. Responses, by contrast, complete
-// in shard-worker order and are matched by the echoed request_id.
+// across worker counts. Responses, by contrast, complete in shard-worker
+// order and are matched by the echoed request_id.
 //
 // Backpressure: a full shard ring makes the submitting IO thread spin
 // (KvService::submit); the connection's reads pause, the kernel receive

@@ -57,32 +57,6 @@ std::string GridSystem::name() const {
          ",d=" + std::to_string(d_) + ")";
 }
 
-Quorum GridSystem::sample(math::Rng& rng) const {
-  Quorum q;
-  sample_into(q, rng);
-  return q;
-}
-
-void GridSystem::sample_into(Quorum& out, math::Rng& rng) const {
-  // Scratch persists across draws so the hot loop never allocates.
-  static thread_local std::vector<std::uint32_t> row_ids;
-  static thread_local std::vector<std::uint32_t> col_ids;
-  math::sample_without_replacement(rows_, d_, rng, row_ids);
-  math::sample_without_replacement(cols_, d_, rng, col_ids);
-  out.clear();
-  out.reserve(static_cast<std::size_t>(min_quorum_size()));
-  for (std::uint32_t r = 0; r < rows_; ++r) {
-    const bool row_in =
-        std::binary_search(row_ids.begin(), row_ids.end(), r);
-    for (std::uint32_t c = 0; c < cols_; ++c) {
-      const bool col_in =
-          std::binary_search(col_ids.begin(), col_ids.end(), c);
-      if (row_in || col_in) out.push_back(r * cols_ + c);
-    }
-  }
-  // Already sorted: row-major emission.
-}
-
 void GridSystem::sample_mask(QuorumBitset& out, math::Rng& rng) const {
   static thread_local std::vector<std::uint32_t> row_ids;
   static thread_local std::vector<std::uint32_t> col_ids;
@@ -90,7 +64,7 @@ void GridSystem::sample_mask(QuorumBitset& out, math::Rng& rng) const {
   math::sample_without_replacement(cols_, d_, rng, col_ids);
   out.resize(rows_ * cols_);
   // Chosen rows are contiguous word ranges; chosen columns stride one bit
-  // per row. No scan over the full grid, unlike the sorted emission above.
+  // per row. No scan over the full grid.
   for (const std::uint32_t r : row_ids) {
     out.set_range(r * cols_, (r + 1) * cols_);
   }
@@ -132,7 +106,7 @@ double GridSystem::failure_probability(double p) const {
   return engine_failure_probability(*this, p, kSamples, seed);
 }
 
-bool GridSystem::has_live_quorum_mask(const QuorumBitset& alive) const {
+bool GridSystem::any_quorum_live(const QuorumBitset& alive) const {
   // >= d fully-alive rows and >= d fully-alive columns, word-parallel.
   std::uint32_t live_rows = 0;
   for (std::uint32_t r = 0; r < rows_ && live_rows < d_; ++r) {
@@ -160,35 +134,6 @@ bool GridSystem::has_live_quorum_mask(const QuorumBitset& alive) const {
     bool ok = true;
     for (std::uint32_t r = 0; r < rows_; ++r) {
       if (!alive.test(r * cols_ + c)) {
-        ok = false;
-        break;
-      }
-    }
-    live_cols += ok ? 1u : 0u;
-  }
-  return live_cols >= d_;
-}
-
-bool GridSystem::has_live_quorum(const std::vector<bool>& alive) const {
-  // A live quorum exists iff at least d rows are fully alive and at least
-  // d columns are fully alive.
-  std::uint32_t live_rows = 0;
-  for (std::uint32_t r = 0; r < rows_ && live_rows < d_; ++r) {
-    bool ok = true;
-    for (std::uint32_t c = 0; c < cols_; ++c) {
-      if (!alive[r * cols_ + c]) {
-        ok = false;
-        break;
-      }
-    }
-    live_rows += ok ? 1u : 0u;
-  }
-  if (live_rows < d_) return false;
-  std::uint32_t live_cols = 0;
-  for (std::uint32_t c = 0; c < cols_ && live_cols < d_; ++c) {
-    bool ok = true;
-    for (std::uint32_t r = 0; r < rows_; ++r) {
-      if (!alive[r * cols_ + c]) {
         ok = false;
         break;
       }

@@ -34,8 +34,6 @@ class GridSystem final : public QuorumSystem {
 
   std::string name() const override;
   std::uint32_t universe_size() const override { return rows_ * cols_; }
-  Quorum sample(math::Rng& rng) const override;
-  void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
   std::uint32_t min_quorum_size() const override;
   double load() const override;
@@ -47,8 +45,6 @@ class GridSystem final : public QuorumSystem {
   // the shared deterministic Monte-Carlo engine with a fixed internal seed
   // (via quorum::engine_failure_probability — see engine_link.h).
   double failure_probability(double p) const override;
-  bool has_live_quorum(const std::vector<bool>& alive) const override;
-  bool has_live_quorum_mask(const QuorumBitset& alive) const override;
 
   std::uint32_t rows() const { return rows_; }
   std::uint32_t cols() const { return cols_; }
@@ -58,6 +54,8 @@ class GridSystem final : public QuorumSystem {
   std::uint32_t min_pairwise_intersection() const { return 2 * d_ * d_; }
 
  private:
+  bool any_quorum_live(const QuorumBitset& alive) const override;
+
   std::uint32_t rows_;
   std::uint32_t cols_;
   std::uint32_t d_;

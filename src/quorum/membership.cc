@@ -92,13 +92,4 @@ void MembershipView::sample_live_mask(
   out.or_expand(compact_scratch.data(), words, live_);
 }
 
-void MembershipView::sample_live_into(std::uint32_t q, math::Rng& rng,
-                                      Quorum& out) const {
-  PQS_CHECK(q <= live_count_);
-  math::sample_without_replacement(live_count_, q, rng, out);
-  // Ranks are sorted and nth_live is monotone, so the translated quorum
-  // stays sorted.
-  for (ServerId& u : out) u = nth_live(u);
-}
-
 }  // namespace pqs::quorum

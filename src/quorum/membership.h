@@ -19,9 +19,8 @@
 // is exactly the regime the timed-quorum analysis of Gramoli & Raynal
 // models (core/timed_epsilon.h). The draw happens over the compact rank
 // universe [0, live_count()) and is expanded through the live mask
-// (QuorumBitset::or_expand), so the mask and allocating protocol paths
-// consume identical rng streams — and, when every slot is live, the same
-// stream as core::RandomSubsetSystem over the full universe.
+// (QuorumBitset::or_expand), so when every slot is live it consumes the
+// same stream as core::RandomSubsetSystem over the full universe.
 #pragma once
 
 #include <cstdint>
@@ -79,15 +78,10 @@ class MembershipView {
   // capacity, overwritten). The draw runs over the compact rank universe
   // [0, live_count()) via math::sample_without_replacement_bits into
   // `compact_scratch` (resized as needed, zeroed here) and is expanded
-  // through the live mask, so it consumes exactly the rng draws of
-  // sample_live_into — the two are the view-aware twins of
-  // sample_mask/sample on a static construction.
+  // through the live mask — the view-aware twin of sample_mask on a
+  // static construction.
   void sample_live_mask(std::uint32_t q, math::Rng& rng, QuorumBitset& out,
                         std::vector<std::uint64_t>& compact_scratch) const;
-
-  // Allocating twin: `out` holds the drawn members as sorted slot ids.
-  // Same rng consumption and member set as sample_live_mask.
-  void sample_live_into(std::uint32_t q, math::Rng& rng, Quorum& out) const;
 
  private:
   QuorumBitset live_;

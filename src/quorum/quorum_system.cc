@@ -2,33 +2,33 @@
 
 namespace pqs::quorum {
 
-void QuorumSystem::sample_into(Quorum& out, math::Rng& rng) const {
-  // Scratch persists across draws so the fallback never allocates in
-  // steady state.
-  static thread_local QuorumBitset mask;
-  mask.resize(universe_size());
-  sample_mask(mask, rng);
-  mask.to_quorum_into(out);
-}
-
-void QuorumSystem::sample_mask(QuorumBitset& out, math::Rng& rng) const {
-  out.resize(universe_size());
-  for (ServerId u : sample(rng)) out.set(u);
-}
-
 void QuorumSystem::sample_masks(QuorumBitset* out, std::size_t count,
                                 math::Rng& rng) const {
   for (std::size_t i = 0; i < count; ++i) sample_mask(out[i], rng);
 }
 
-bool QuorumSystem::has_live_quorum_mask(const QuorumBitset& alive) const {
-  static thread_local std::vector<bool> scratch;
-  const std::uint32_t n = universe_size();
-  scratch.assign(n, false);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    if (alive.test(u)) scratch[u] = true;
+void QuorumSystem::sample_into(Quorum& out, math::Rng& rng) const {
+  // Scratch persists across draws so the adapter never allocates in
+  // steady state.
+  static thread_local QuorumBitset mask;
+  sample_mask(mask, rng);
+  mask.to_quorum_into(out);
+}
+
+Quorum QuorumSystem::sample(math::Rng& rng) const {
+  Quorum out;
+  sample_into(out, rng);
+  return out;
+}
+
+bool QuorumSystem::has_live_quorum(const std::vector<bool>& alive) const {
+  PQS_REQUIRE(alive.size() == universe_size(),
+              "alive vector must span the universe");
+  QuorumBitset mask(universe_size());
+  for (std::uint32_t u = 0; u < mask.universe_size(); ++u) {
+    if (alive[u]) mask.set(u);
   }
-  return has_live_quorum(scratch);
+  return any_quorum_live(mask);
 }
 
 }  // namespace pqs::quorum

@@ -19,6 +19,7 @@
 #include "math/rng.h"
 #include "quorum/bitset.h"
 #include "quorum/types.h"
+#include "util/require.h"
 
 namespace pqs::quorum {
 
@@ -32,26 +33,13 @@ class QuorumSystem {
   // |U|.
   virtual std::uint32_t universe_size() const = 0;
 
-  // Draws one quorum according to the system's access strategy w.
-  //
-  // The three draw paths form a hierarchy — sample() (allocating) →
-  // sample_into() (sorted vector, caller scratch) → sample_mask() (bitset,
-  // no ordering) — and for any fixed rng state all three yield the same
-  // member set while consuming the same rng draws, so they are freely
-  // interchangeable inside seeded experiments.
-  virtual Quorum sample(math::Rng& rng) const = 0;
-
-  // Draws one quorum into `out` (overwritten, sorted). Constructions
-  // override this with an allocation-free fast path; the default expands a
-  // sample_mask() draw back into sorted ids.
-  virtual void sample_into(Quorum& out, math::Rng& rng) const;
-
-  // Draws one quorum as a bitset: `out` is resized to the universe and
-  // holds exactly the members of the drawn quorum. This is the native
-  // representation of the Monte-Carlo hot loops — constructions set bits
-  // (or whole words) directly, skipping the sorted-vector round trip. The
-  // default copies a sample() draw.
-  virtual void sample_mask(QuorumBitset& out, math::Rng& rng) const;
+  // Draws one quorum according to the system's access strategy w, as a
+  // bitset: `out` is resized to the universe and holds exactly the members
+  // of the drawn quorum. This is the one draw every construction
+  // implements — constructions set bits (or whole words) directly — and
+  // the native representation of the Monte-Carlo hot loops and the
+  // protocol path. Allocates nothing once `out` has its size.
+  virtual void sample_mask(QuorumBitset& out, math::Rng& rng) const = 0;
 
   /// Draws `count` quorums into out[0..count), in draw order.
   ///
@@ -71,6 +59,13 @@ class QuorumSystem {
   virtual void sample_masks(QuorumBitset* out, std::size_t count,
                             math::Rng& rng) const;
 
+  // Sorted-id adapters over sample_mask: the same draw, consuming the
+  // same rng words, expanded into a sorted member list. sample_into
+  // overwrites `out` through thread-local mask scratch, so it allocates
+  // nothing once `out` has capacity; sample returns a fresh vector.
+  void sample_into(Quorum& out, math::Rng& rng) const;
+  Quorum sample(math::Rng& rng) const;
+
   // c(Q): size of the smallest quorum.
   virtual std::uint32_t min_quorum_size() const = 0;
 
@@ -87,17 +82,25 @@ class QuorumSystem {
   // fully alive when servers crash independently with probability p.
   virtual double failure_probability(double p) const = 0;
 
-  // True iff some (high-quality) quorum survives given the alive mask
-  // (alive.size() == universe_size()). Drives the generic Monte-Carlo
-  // failure-probability estimator, which cross-checks failure_probability().
-  virtual bool has_live_quorum(const std::vector<bool>& alive) const = 0;
+  // True iff some (high-quality) quorum survives given the alive mask.
+  // Drives the generic Monte-Carlo failure-probability estimator, which
+  // cross-checks failure_probability(), so the check stays word-parallel
+  // end to end. Requires alive.universe_size() == universe_size(): the one
+  // compare that guards every construction's predicate.
+  bool has_live_quorum_mask(const QuorumBitset& alive) const {
+    PQS_REQUIRE(alive.universe_size() == universe_size(),
+                "alive mask must span the universe");
+    return any_quorum_live(alive);
+  }
 
-  // As above over a bitset (alive.universe_size() == universe_size()), so
-  // the failure-probability hot loop stays word-parallel end to end.
-  // Constructions override with word loops; the default expands to a
-  // vector<bool> and answers via has_live_quorum. Both overloads must
-  // agree on every mask.
-  virtual bool has_live_quorum_mask(const QuorumBitset& alive) const;
+  // As above over a vector<bool> (alive.size() == universe_size()): an
+  // adapter that builds the bitset and asks the mask form.
+  bool has_live_quorum(const std::vector<bool>& alive) const;
+
+ protected:
+  // The construction's liveness predicate behind has_live_quorum_mask;
+  // `alive` spans exactly the universe.
+  virtual bool any_quorum_live(const QuorumBitset& alive) const = 0;
 };
 
 }  // namespace pqs::quorum

@@ -88,27 +88,13 @@ std::string SetSystem::name() const {
          ",m=" + std::to_string(quorums_.size()) + ")";
 }
 
-Quorum SetSystem::sample(math::Rng& rng) const {
-  Quorum q;
-  sample_into(q, rng);
-  return q;
-}
-
-std::size_t SetSystem::sample_index(math::Rng& rng) const {
+void SetSystem::sample_mask(QuorumBitset& out, math::Rng& rng) const {
+  // One uniform picks the quorum; its bitset, materialized at
+  // construction, is word-copied out with no per-member work at all.
   const double u = rng.uniform();
   const auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
   const std::size_t i = static_cast<std::size_t>(it - cumulative_.begin());
-  return std::min(i, quorums_.size() - 1);
-}
-
-void SetSystem::sample_into(Quorum& out, math::Rng& rng) const {
-  out = quorums_[sample_index(rng)];
-}
-
-void SetSystem::sample_mask(QuorumBitset& out, math::Rng& rng) const {
-  // Word-copy of the bitset materialized at construction; no per-member
-  // work at all. Same uniform draw as the vector path.
-  out = masks_[sample_index(rng)];
+  out = masks_[std::min(i, quorums_.size() - 1)];
 }
 
 std::uint32_t SetSystem::min_quorum_size() const {
@@ -277,21 +263,7 @@ double SetSystem::probabilistic_failure_probability(double p) const {
       high_quality_indices(high_quality_delta(eps)), p);
 }
 
-bool SetSystem::has_live_quorum(const std::vector<bool>& alive) const {
-  for (const auto& q : quorums_) {
-    bool ok = true;
-    for (ServerId u : q) {
-      if (!alive[u]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return true;
-  }
-  return false;
-}
-
-bool SetSystem::has_live_quorum_mask(const QuorumBitset& alive) const {
+bool SetSystem::any_quorum_live(const QuorumBitset& alive) const {
   for (const auto& m : masks_) {
     if (alive.contains_all(m)) return true;
   }

@@ -38,8 +38,6 @@ class SetSystem final : public QuorumSystem {
   // -- QuorumSystem interface ------------------------------------------
   std::string name() const override;
   std::uint32_t universe_size() const override { return n_; }
-  Quorum sample(math::Rng& rng) const override;
-  void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
   std::uint32_t min_quorum_size() const override;
   // Strategy-induced load L_w (Definition 2.4), exact.
@@ -49,8 +47,6 @@ class SetSystem final : public QuorumSystem {
   std::uint32_t fault_tolerance() const override;
   // Exact F_p (Definition 2.6) by inclusion-exclusion over quorums.
   double failure_probability(double p) const override;
-  bool has_live_quorum(const std::vector<bool>& alive) const override;
-  bool has_live_quorum_mask(const QuorumBitset& alive) const override;
 
   // -- Exact structural analysis ----------------------------------------
   std::size_t quorum_count() const { return quorums_.size(); }
@@ -84,13 +80,11 @@ class SetSystem final : public QuorumSystem {
   double server_load(ServerId u) const;
 
  private:
+  bool any_quorum_live(const QuorumBitset& alive) const override;
+
   std::uint32_t hitting_set_size(const std::vector<std::size_t>& indices) const;
   double failure_probability_over(const std::vector<std::size_t>& indices,
                                   double p) const;
-
-  // Index of the quorum selected by one strategy draw (shared by the
-  // vector and mask sampling paths; consumes one uniform).
-  std::size_t sample_index(math::Rng& rng) const;
 
   std::uint32_t n_;
   std::vector<Quorum> quorums_;

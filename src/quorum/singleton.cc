@@ -14,23 +14,12 @@ std::string SingletonSystem::name() const {
   return "singleton(n=" + std::to_string(n_) + ")";
 }
 
-Quorum SingletonSystem::sample(math::Rng&) const { return {center_}; }
-
-void SingletonSystem::sample_into(Quorum& out, math::Rng&) const {
-  out.clear();
-  out.push_back(center_);
-}
-
 void SingletonSystem::sample_mask(QuorumBitset& out, math::Rng&) const {
   out.resize(n_);
   out.set(center_);
 }
 
-bool SingletonSystem::has_live_quorum(const std::vector<bool>& alive) const {
-  return alive[center_];
-}
-
-bool SingletonSystem::has_live_quorum_mask(const QuorumBitset& alive) const {
+bool SingletonSystem::any_quorum_live(const QuorumBitset& alive) const {
   return alive.test(center_);
 }
 

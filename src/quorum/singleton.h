@@ -20,17 +20,15 @@ class SingletonSystem final : public QuorumSystem {
 
   std::string name() const override;
   std::uint32_t universe_size() const override { return n_; }
-  Quorum sample(math::Rng& rng) const override;
-  void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
   std::uint32_t min_quorum_size() const override { return 1; }
   double load() const override { return 1.0; }
   std::uint32_t fault_tolerance() const override { return 1; }
   double failure_probability(double p) const override { return p; }
-  bool has_live_quorum(const std::vector<bool>& alive) const override;
-  bool has_live_quorum_mask(const QuorumBitset& alive) const override;
 
  private:
+  bool any_quorum_live(const QuorumBitset& alive) const override;
+
   std::uint32_t n_;
   ServerId center_;
 };

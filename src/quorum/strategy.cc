@@ -280,14 +280,6 @@ std::string Strategy::name() const {
          ",base=" + base_->name() + ")";
 }
 
-Quorum Strategy::sample(math::Rng& rng) const {
-  return read_quorums_[draw_read_index(rng)];
-}
-
-void Strategy::sample_into(Quorum& out, math::Rng& rng) const {
-  out = read_quorums_[draw_read_index(rng)];
-}
-
 void Strategy::sample_mask(QuorumBitset& out, math::Rng& rng) const {
   // Copy-assign from the prebuilt mask: deep copy into owning bitsets,
   // write-through into MaskBatch views — either way no allocation in
@@ -397,26 +389,7 @@ double Strategy::failure_probability(double p) const {
   return std::min(1.0, std::max(0.0, fail));
 }
 
-bool Strategy::has_live_quorum(const std::vector<bool>& alive) const {
-  PQS_REQUIRE(alive.size() == n_, "alive vector size mismatch");
-  const auto some_live = [&](const std::vector<Quorum>& quorums) {
-    for (const Quorum& q : quorums) {
-      bool all = true;
-      for (const ServerId u : q) {
-        if (!alive[u]) {
-          all = false;
-          break;
-        }
-      }
-      if (all) return true;
-    }
-    return false;
-  };
-  return some_live(read_quorums_) && some_live(write_quorums_);
-}
-
-bool Strategy::has_live_quorum_mask(const QuorumBitset& alive) const {
-  PQS_REQUIRE(alive.universe_size() == n_, "alive mask size mismatch");
+bool Strategy::any_quorum_live(const QuorumBitset& alive) const {
   const auto some_live = [&](const std::vector<QuorumBitset>& masks) {
     for (const QuorumBitset& mask : masks) {
       if (alive.contains_all(mask)) return true;

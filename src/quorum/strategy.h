@@ -16,17 +16,18 @@
 //   * one rng word per draw, always — the index comes from a Walker/Vose
 //     alias table evaluated in pure 64-bit integer arithmetic
 //     (multiply-shift bucket + fixed-point threshold), so draws are
-//     bit-identical across threads, draw paths, and ISAs, and never
+//     bit-identical across threads and ISAs, and never
 //     reject/loop like Lemire sampling would;
 //   * zero allocation — the support's quorums are prebuilt as both sorted
 //     vectors and QuorumBitsets at construction, and sample_mask() just
 //     copies the selected mask into the caller's scratch (write-through
 //     into MaskBatch views included);
-//   * the generic sample/sample_into/sample_mask face draws from the READ
-//     distribution (reads are what the estimator hot loops measure);
-//     protocol code that distinguishes reads from writes uses
-//     draw_read_index/draw_write_index plus the indexed accessors, which
-//     is how InstantCluster wires the two distributions in.
+//   * the generic sample_mask face (and the sample/sample_into adapters
+//     over it) draws from the READ distribution (reads are what the
+//     estimator hot loops measure); protocol code that distinguishes
+//     reads from writes uses draw_read_index/draw_write_index plus the
+//     indexed accessors, which is how InstantCluster wires the two
+//     distributions in.
 //
 // The analytic face is exact over the explicit support: per-server access
 // probabilities and capacity-weighted loads in closed form,
@@ -122,8 +123,6 @@ class Strategy final : public QuorumSystem {
   // ---- QuorumSystem (the generic face draws the READ distribution) ----
   std::string name() const override;
   std::uint32_t universe_size() const override { return n_; }
-  Quorum sample(math::Rng& rng) const override;
-  void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
   std::uint32_t min_quorum_size() const override;
   // Definition 2.4 load of the shipped strategy at its workload mix,
@@ -140,13 +139,13 @@ class Strategy final : public QuorumSystem {
   // constructor caps the combined support (kMaxExactSupport) to keep it
   // tractable.
   double failure_probability(double p) const override;
-  bool has_live_quorum(const std::vector<bool>& alive) const override;
-  bool has_live_quorum_mask(const QuorumBitset& alive) const override;
 
   // Combined read+write support ceiling for the exact analytic forms.
   static constexpr std::uint32_t kMaxExactSupport = 26;
 
  private:
+  bool any_quorum_live(const QuorumBitset& alive) const override;
+
   struct AliasSlot {
     std::uint64_t threshold = 0;  // accept idx while frac < threshold
     std::uint32_t alias = 0;

@@ -51,16 +51,6 @@ std::string ThresholdSystem::name() const {
          ")";
 }
 
-Quorum ThresholdSystem::sample(math::Rng& rng) const {
-  Quorum q;
-  sample_into(q, rng);
-  return q;
-}
-
-void ThresholdSystem::sample_into(Quorum& out, math::Rng& rng) const {
-  math::sample_without_replacement(n_, q_, rng, out);
-}
-
 void ThresholdSystem::sample_mask(QuorumBitset& out, math::Rng& rng) const {
   out.resize(n_);
   math::sample_without_replacement_bits(n_, q_, rng, out.word_data());
@@ -81,13 +71,7 @@ double ThresholdSystem::failure_probability(double p) const {
   return size_based_failure_probability(n_, q_, p);
 }
 
-bool ThresholdSystem::has_live_quorum(const std::vector<bool>& alive) const {
-  std::uint32_t count = 0;
-  for (bool a : alive) count += a ? 1u : 0u;
-  return count >= q_;
-}
-
-bool ThresholdSystem::has_live_quorum_mask(const QuorumBitset& alive) const {
+bool ThresholdSystem::any_quorum_live(const QuorumBitset& alive) const {
   return alive.count() >= q_;
 }
 

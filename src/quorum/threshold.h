@@ -39,8 +39,6 @@ class ThresholdSystem final : public QuorumSystem {
 
   std::string name() const override;
   std::uint32_t universe_size() const override { return n_; }
-  Quorum sample(math::Rng& rng) const override;
-  void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
   void sample_masks(QuorumBitset* out, std::size_t count,
                     math::Rng& rng) const override;
@@ -48,13 +46,13 @@ class ThresholdSystem final : public QuorumSystem {
   double load() const override;
   std::uint32_t fault_tolerance() const override { return n_ - q_ + 1; }
   double failure_probability(double p) const override;
-  bool has_live_quorum(const std::vector<bool>& alive) const override;
-  bool has_live_quorum_mask(const QuorumBitset& alive) const override;
 
   // Guaranteed |Q ∩ Q'| >= 2q - n for any two quorums.
   std::uint32_t min_pairwise_intersection() const { return 2 * q_ - n_; }
 
  private:
+  bool any_quorum_live(const QuorumBitset& alive) const override;
+
   std::uint32_t n_;
   std::uint32_t q_;
 };

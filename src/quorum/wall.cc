@@ -31,28 +31,6 @@ std::string WallSystem::name() const {
          ",n=" + std::to_string(n_) + ")";
 }
 
-Quorum WallSystem::sample(math::Rng& rng) const {
-  Quorum q;
-  sample_into(q, rng);
-  return q;
-}
-
-void WallSystem::sample_into(Quorum& out, math::Rng& rng) const {
-  const std::uint32_t d = rows();
-  const std::uint32_t chosen =
-      static_cast<std::uint32_t>(rng.below(d));
-  out.clear();
-  out.reserve(widths_[chosen] + d - 1 - chosen);
-  for (std::uint32_t c = 0; c < widths_[chosen]; ++c) {
-    out.push_back(row_start(chosen) + c);
-  }
-  for (std::uint32_t j = chosen + 1; j < d; ++j) {
-    out.push_back(row_start(j) +
-                  static_cast<std::uint32_t>(rng.below(widths_[j])));
-  }
-  // Row-major emission in increasing rows is already sorted.
-}
-
 void WallSystem::sample_mask(QuorumBitset& out, math::Rng& rng) const {
   const std::uint32_t d = rows();
   const std::uint32_t chosen = static_cast<std::uint32_t>(rng.below(d));
@@ -112,25 +90,9 @@ double WallSystem::failure_probability(double p) const {
   return std::clamp(u, 0.0, 1.0);
 }
 
-bool WallSystem::has_live_quorum(const std::vector<bool>& alive) const {
-  const std::uint32_t d = rows();
-  bool suffix_has_survivors = true;  // all rows below i have >= 1 alive
-  for (std::uint32_t i = d; i-- > 0;) {
-    bool full = true;
-    bool any = false;
-    for (std::uint32_t c = 0; c < widths_[i]; ++c) {
-      const bool a = alive[row_start(i) + c];
-      full = full && a;
-      any = any || a;
-    }
-    if (full && suffix_has_survivors) return true;
-    suffix_has_survivors = suffix_has_survivors && any;
-  }
-  return false;
-}
-
-bool WallSystem::has_live_quorum_mask(const QuorumBitset& alive) const {
-  // Same bottom-up scan as above with each row answered by word ops.
+bool WallSystem::any_quorum_live(const QuorumBitset& alive) const {
+  // Bottom-up over the rows, each answered by word ops: a quorum survives
+  // iff some row is fully alive while every row below it has a survivor.
   const std::uint32_t d = rows();
   bool suffix_has_survivors = true;
   for (std::uint32_t i = d; i-- > 0;) {

@@ -33,8 +33,6 @@ class WallSystem final : public QuorumSystem {
   std::uint32_t universe_size() const override { return n_; }
   // Strategy: chosen row uniform over rows; representatives uniform within
   // each lower row, independently.
-  Quorum sample(math::Rng& rng) const override;
-  void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
   // min_i (w_i + d - 1 - i)  (0-based rows).
   std::uint32_t min_quorum_size() const override;
@@ -47,8 +45,6 @@ class WallSystem final : public QuorumSystem {
   // Exact via independence across rows: a quorum survives iff some row i
   // is fully alive with every row below it non-empty-alive.
   double failure_probability(double p) const override;
-  bool has_live_quorum(const std::vector<bool>& alive) const override;
-  bool has_live_quorum_mask(const QuorumBitset& alive) const override;
 
   std::uint32_t rows() const {
     return static_cast<std::uint32_t>(widths_.size());
@@ -56,6 +52,8 @@ class WallSystem final : public QuorumSystem {
   const std::vector<std::uint32_t>& widths() const { return widths_; }
 
  private:
+  bool any_quorum_live(const QuorumBitset& alive) const override;
+
   std::uint32_t row_start(std::uint32_t row) const { return starts_[row]; }
 
   std::vector<std::uint32_t> widths_;

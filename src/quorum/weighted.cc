@@ -55,30 +55,6 @@ std::uint32_t WeightedVotingSystem::universe_size() const {
   return static_cast<std::uint32_t>(votes_.size());
 }
 
-Quorum WeightedVotingSystem::sample(math::Rng& rng) const {
-  Quorum q;
-  sample_into(q, rng);
-  return q;
-}
-
-void WeightedVotingSystem::sample_into(Quorum& out, math::Rng& rng) const {
-  // Scratch persists across draws so the hot loop never allocates. The
-  // final sort orders the *members* (the sorted-quorum invariant of the
-  // vector path); the mask path below has no ordering to maintain.
-  static thread_local std::vector<std::uint32_t> order;
-  order.resize(votes_.size());
-  std::iota(order.begin(), order.end(), 0u);
-  math::shuffle(order, rng);
-  out.clear();
-  std::uint32_t gathered = 0;
-  for (auto u : order) {
-    out.push_back(u);
-    gathered += votes_[u];
-    if (gathered >= threshold_) break;
-  }
-  std::sort(out.begin(), out.end());
-}
-
 void WeightedVotingSystem::sample_mask(QuorumBitset& out,
                                        math::Rng& rng) const {
   static thread_local std::vector<std::uint32_t> order;
@@ -122,16 +98,7 @@ double WeightedVotingSystem::failure_probability(double p) const {
   return std::min(1.0, fail);
 }
 
-bool WeightedVotingSystem::has_live_quorum(
-    const std::vector<bool>& alive) const {
-  std::uint32_t gathered = 0;
-  for (std::uint32_t u = 0; u < votes_.size(); ++u) {
-    if (alive[u]) gathered += votes_[u];
-  }
-  return gathered >= threshold_;
-}
-
-bool WeightedVotingSystem::has_live_quorum_mask(
+bool WeightedVotingSystem::any_quorum_live(
     const QuorumBitset& alive) const {
   std::uint32_t gathered = 0;
   alive.for_each_set_bit([&](ServerId u) {

@@ -33,8 +33,6 @@ class WeightedVotingSystem final : public QuorumSystem {
 
   std::string name() const override;
   std::uint32_t universe_size() const override;
-  Quorum sample(math::Rng& rng) const override;
-  void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
   // Fewest servers that can reach T (greedy by descending votes;
   // precomputed at construction).
@@ -48,14 +46,14 @@ class WeightedVotingSystem final : public QuorumSystem {
   std::uint32_t fault_tolerance() const override { return fault_tolerance_; }
   // Exact, by dynamic programming over the attainable vote sums.
   double failure_probability(double p) const override;
-  bool has_live_quorum(const std::vector<bool>& alive) const override;
-  bool has_live_quorum_mask(const QuorumBitset& alive) const override;
 
   std::uint32_t total_votes() const { return total_votes_; }
   std::uint32_t threshold() const { return threshold_; }
   const std::vector<std::uint32_t>& votes() const { return votes_; }
 
  private:
+  bool any_quorum_live(const QuorumBitset& alive) const override;
+
   // Fewest servers (greedy descending votes) reaching `target` votes; runs
   // on the vote vector sorted once at construction.
   std::uint32_t greedy_count(std::uint32_t target) const;

@@ -21,12 +21,8 @@ Client::Client(sim::NodeId node, Config config, sim::Simulator& simulator,
 }
 
 void Client::draw_quorum(quorum::Quorum& out) {
-  if (config_.draw_path == DrawPath::kMask) {
-    config_.quorums->sample_mask(draw_mask_, rng_);
-    draw_mask_.to_quorum_into(out);
-  } else {
-    out = config_.quorums->sample(rng_);
-  }
+  config_.quorums->sample_mask(draw_mask_, rng_);
+  draw_mask_.to_quorum_into(out);
 }
 
 void Client::send_to_quorum(const quorum::Quorum& quorum,

@@ -18,7 +18,6 @@
 #include "math/rng.h"
 #include "quorum/bitset.h"
 #include "quorum/quorum_system.h"
-#include "replica/draw_path.h"
 #include "replica/message.h"
 #include "replica/read_rules.h"
 #include "sim/network.h"
@@ -49,9 +48,6 @@ class Client {
     sim::Time timeout = 1'000'000;  // 1 virtual second
     crypto::Key128 writer_key{};
     std::uint32_t writer_id = 1;
-    // Quorum selection path; kMask draws into per-client scratch without
-    // allocating, kAllocating is the original sample() flow (draw_path.h).
-    DrawPath draw_path = DrawPath::kMask;
   };
 
   Client(sim::NodeId node, Config config, sim::Simulator& simulator,

@@ -122,52 +122,26 @@ void InstantCluster::write_into(WriteResult& result, VariableId variable,
 void InstantCluster::write_as_into(WriteResult& result, std::uint32_t writer,
                                    VariableId variable, std::int64_t value) {
   result.acks = 0;
-  if (config_.draw_path == DrawPath::kMask) {
-    if (config_.strategy) {
-      // One alias-table word from the shared quorum stream; the prebuilt
-      // support mask is copied into the scratch, so both paths pick the
-      // same index from the same stream position.
-      const std::uint32_t idx = config_.strategy->draw_write_index(rng_);
-      record_strategy_draw(idx, true);
-      draw_mask_ = config_.strategy->write_mask(idx);
-    } else if (config_.dynamic_membership) {
-      // R(live, q) over the current view. With every slot live this
-      // consumes the exact rng draws of the static sample_mask below.
-      view_.sample_live_mask(config_.quorums->min_quorum_size(), rng_,
-                             draw_mask_, compact_scratch_);
-    } else {
-      config_.quorums->sample_mask(draw_mask_, rng_);
-    }
-    result.timestamp = next_timestamp(writer);
-    const auto record =
-        signer_.sign(variable, value, result.timestamp, writer);
-    draw_mask_.for_each_set_bit([&](quorum::ServerId u) {
-      if (servers_[u]->apply_write(WriteRequest{0, record})) ++result.acks;
-    });
-    draw_mask_.to_quorum_into(result.quorum);
+  if (config_.strategy) {
+    // One alias-table word from the shared quorum stream; the prebuilt
+    // support mask is copied into the scratch.
+    const std::uint32_t idx = config_.strategy->draw_write_index(rng_);
+    record_strategy_draw(idx, true);
+    draw_mask_ = config_.strategy->write_mask(idx);
+  } else if (config_.dynamic_membership) {
+    // R(live, q) over the current view. With every slot live this
+    // consumes the exact rng draws of the static sample_mask below.
+    view_.sample_live_mask(config_.quorums->min_quorum_size(), rng_,
+                           draw_mask_, compact_scratch_);
   } else {
-    // The original flow, preserved verbatim for A/B measurement: allocating
-    // draw, message dispatch through process() and its Outbound vectors.
-    if (config_.strategy) {
-      const std::uint32_t idx = config_.strategy->draw_write_index(rng_);
-      record_strategy_draw(idx, true);
-      result.quorum = config_.strategy->write_quorum(idx);
-    } else if (config_.dynamic_membership) {
-      view_.sample_live_into(config_.quorums->min_quorum_size(), rng_,
-                             result.quorum);
-    } else {
-      result.quorum = config_.quorums->sample(rng_);
-    }
-    result.timestamp = next_timestamp(writer);
-    const auto record =
-        signer_.sign(variable, value, result.timestamp, writer);
-    for (auto u : result.quorum) {
-      const auto out = servers_[u]->process(kClientId, WriteRequest{0, record});
-      for (const auto& o : out) {
-        if (std::holds_alternative<WriteAck>(o.message)) ++result.acks;
-      }
-    }
+    config_.quorums->sample_mask(draw_mask_, rng_);
   }
+  result.timestamp = next_timestamp(writer);
+  const auto record = signer_.sign(variable, value, result.timestamp, writer);
+  draw_mask_.for_each_set_bit([&](quorum::ServerId u) {
+    if (servers_[u]->apply_write(WriteRequest{0, record})) ++result.acks;
+  });
+  draw_mask_.to_quorum_into(result.quorum);
 }
 
 ReadResult InstantCluster::read(VariableId variable) {
@@ -180,48 +154,24 @@ void InstantCluster::read_into(ReadResult& result, VariableId variable) {
   result.replies = 0;
   result.repairs = 0;
   reply_scratch_.clear();
-  if (config_.draw_path == DrawPath::kMask) {
-    if (config_.strategy) {
-      const std::uint32_t idx = config_.strategy->draw_read_index(rng_);
-      record_strategy_draw(idx, false);
-      draw_mask_ = config_.strategy->read_mask(idx);
-    } else if (config_.dynamic_membership) {
-      view_.sample_live_mask(config_.quorums->min_quorum_size(), rng_,
-                             draw_mask_, compact_scratch_);
-    } else {
-      config_.quorums->sample_mask(draw_mask_, rng_);
-    }
-    draw_mask_.for_each_set_bit([&](quorum::ServerId u) {
-      ReadReply reply;
-      if (servers_[u]->serve_read(ReadRequest{0, variable}, reply)) {
-        reply_scratch_.push_back(reply);
-        ++result.replies;
-      }
-    });
-    draw_mask_.to_quorum_into(result.quorum);
+  if (config_.strategy) {
+    const std::uint32_t idx = config_.strategy->draw_read_index(rng_);
+    record_strategy_draw(idx, false);
+    draw_mask_ = config_.strategy->read_mask(idx);
+  } else if (config_.dynamic_membership) {
+    view_.sample_live_mask(config_.quorums->min_quorum_size(), rng_,
+                           draw_mask_, compact_scratch_);
   } else {
-    // Original flow kept for A/B (see write_as_into).
-    if (config_.strategy) {
-      const std::uint32_t idx = config_.strategy->draw_read_index(rng_);
-      record_strategy_draw(idx, false);
-      result.quorum = config_.strategy->read_quorum(idx);
-    } else if (config_.dynamic_membership) {
-      view_.sample_live_into(config_.quorums->min_quorum_size(), rng_,
-                             result.quorum);
-    } else {
-      result.quorum = config_.quorums->sample(rng_);
-    }
-    for (auto u : result.quorum) {
-      const auto out =
-          servers_[u]->process(kClientId, ReadRequest{0, variable});
-      for (const auto& o : out) {
-        if (const auto* r = std::get_if<ReadReply>(&o.message)) {
-          reply_scratch_.push_back(*r);
-          ++result.replies;
-        }
-      }
-    }
+    config_.quorums->sample_mask(draw_mask_, rng_);
   }
+  draw_mask_.for_each_set_bit([&](quorum::ServerId u) {
+    ReadReply reply;
+    if (servers_[u]->serve_read(ReadRequest{0, variable}, reply)) {
+      reply_scratch_.push_back(reply);
+      ++result.replies;
+    }
+  });
+  draw_mask_.to_quorum_into(result.quorum);
   result.selection = select(config_.mode, reply_scratch_, &verifier_,
                             config_.read_threshold, masking_scratch_);
 }
@@ -231,8 +181,8 @@ void InstantCluster::read_repair_into(ReadResult& result,
   read_into(result, variable);
   if (!result.selection.has_value) return;
   const crypto::SignedRecord& best = result.selection.record;
-  // Both draw paths contact the quorum in result.quorum's order, so the
-  // replies are a subsequence of it: one forward cursor finds each
+  // read_into contacts the quorum in result.quorum's (ascending) order,
+  // so the replies are a subsequence of it: one forward cursor finds each
   // member's reply, or its absence.
   std::size_t next = 0;
   for (const auto u : result.quorum) {

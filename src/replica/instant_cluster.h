@@ -17,7 +17,6 @@
 #include "quorum/membership.h"
 #include "quorum/quorum_system.h"
 #include "quorum/strategy.h"
-#include "replica/draw_path.h"
 #include "replica/fault.h"
 #include "replica/read_rules.h"
 #include "replica/server.h"
@@ -47,10 +46,6 @@ class InstantCluster {
     std::uint32_t read_threshold = 1;  // masking k
     std::uint64_t seed = 1;
     std::uint64_t writer_key_seed = 0x517e9a11;
-    // kMask (default) draws quorums into per-instance bitset scratch and
-    // walks the bits; kAllocating keeps the original sample() flow for A/B
-    // measurement. Same rng stream, bit-identical outcomes (draw_path.h).
-    DrawPath draw_path = DrawPath::kMask;
     // Dynamic membership (timed quorums). When set, the quorum system's
     // universe becomes a fixed *slot capacity* and quorum draws become
     // uniform q-subsets (q = quorums->min_quorum_size()) of the cluster's
@@ -65,8 +60,7 @@ class InstantCluster {
     std::uint64_t churn_seed = 0xc4a84e11u;
     // Workload-aware access strategy (quorum/strategy.h). When set, writes
     // draw from its write distribution and reads from its read
-    // distribution — one alias-table rng word per draw, same stream and
-    // bit-identity contract across both draw paths. `quorums` may be left
+    // distribution — one alias-table rng word per draw. `quorums` may be left
     // null (the strategy then doubles as the cluster's quorum system) or
     // must share the strategy's universe. Mutually exclusive with
     // dynamic_membership: a strategy's support is a fixed-universe object,
@@ -95,9 +89,10 @@ class InstantCluster {
 
   // In-place variants: identical protocol execution, but `result` is
   // overwritten in place so its quorum vector's capacity is reused across
-  // operations. Together with the kMask draw path and the servers' direct
-  // entry points, the steady-state hot loop does not allocate. write/read
-  // above are thin wrappers over these.
+  // operations. Quorums are drawn into per-instance bitset scratch and
+  // servers are reached through their direct entry points, so the
+  // steady-state hot loop does not allocate. write/read above are thin
+  // wrappers over these.
   void write_into(WriteResult& result, VariableId variable,
                   std::int64_t value);
   void write_as_into(WriteResult& result, std::uint32_t writer,
@@ -109,8 +104,8 @@ class InstantCluster {
   // whose reply was missing or carried an older timestamp (one direct
   // apply_write per such server; non-answering servers still cost a repair
   // message). result.repairs counts the write-backs. Repair consumes no
-  // rng draws, so quorum streams are identical with repair on or off and
-  // across draw paths — only server state (and future reads) change.
+  // rng draws, so quorum streams are identical with repair on or off —
+  // only server state (and future reads) change.
   void read_repair_into(ReadResult& result, VariableId variable);
 
   // Per-server protocol counters as one cluster-level snapshot (the
@@ -192,7 +187,6 @@ class InstantCluster {
   MaskingScratch masking_scratch_;
   std::uint64_t strategy_draws_ = 0;
   std::uint64_t strategy_checksum_ = 0;
-  static constexpr std::uint32_t kClientId = 0xffffffffu;
 };
 
 }  // namespace pqs::replica

@@ -55,7 +55,6 @@ SimCluster::SimCluster(Config config, FaultPlan faults)
     cc.timeout = config_.client_timeout;
     cc.writer_key = signer.key();
     cc.writer_id = c + 1;
-    cc.draw_path = config_.draw_path;
     const sim::NodeId node = n + c;
     clients_.push_back(std::make_unique<Client>(node, cc, simulator_,
                                                 *network_, rng_.fork()));

@@ -37,8 +37,6 @@ class SimCluster {
     // Correct servers verify gossip-path records against the writer MAC
     // before adoption (Byzantine-safe diffusion, [MMR99]).
     bool verify_gossip = false;
-    // Quorum selection path for every client (draw_path.h).
-    DrawPath draw_path = DrawPath::kMask;
   };
 
   explicit SimCluster(Config config);

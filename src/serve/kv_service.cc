@@ -52,7 +52,6 @@ KvService::KvService(Config config) : config_(std::move(config)) {
     cluster_cfg.mode = config_.read_mode;
     cluster_cfg.read_threshold = config_.read_threshold;
     cluster_cfg.seed = config_.seed + 0x51ed2701ULL * (s + 1);
-    cluster_cfg.draw_path = config_.draw_path;
     cluster_cfg.dynamic_membership = config_.dynamic_membership;
     cluster_cfg.initial_live = config_.initial_live;
     cluster_cfg.churn_seed = config_.seed + 0xc4a84e11ULL * (s + 1);

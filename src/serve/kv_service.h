@@ -16,9 +16,9 @@
 // requests in FIFO order, and shard clusters are seeded independently —
 // so as long as every shard's request subsequence arrives in a fixed
 // order (one producer, or producers partitioned by shard), each shard's
-// aggregate counters are bit-identical across worker-thread counts and
-// across mask/allocating draw paths. Latency histograms are measured
-// (timing-dependent) and deliberately excluded from the aggregate.
+// aggregate counters are bit-identical across worker-thread counts.
+// Latency histograms are measured (timing-dependent) and deliberately
+// excluded from the aggregate.
 //
 // Latency is recorded against the request's *scheduled* arrival time
 // (workload::OpenLoopGenerator), so queueing delay from a backed-up shard
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "quorum/quorum_system.h"
-#include "replica/draw_path.h"
 #include "replica/instant_cluster.h"
 #include "stats/counters.h"
 #include "stats/latency_histogram.h"
@@ -49,10 +48,10 @@ namespace pqs::serve {
 // Membership changes ride the shard rings as in-band requests, so a churn
 // event has a definite position in the shard's FIFO request subsequence —
 // which is exactly what keeps churned runs inside the bit-identity
-// contract: same subsequence, same aggregates, at any worker count and on
-// either draw path. kReplace turns over a uniformly random live slot
-// (drawn from the cluster's dedicated churn rng); kJoin/kLeave target the
-// slot in Request::key.
+// contract: same subsequence, same aggregates, at any worker count.
+// kReplace turns over a uniformly random live slot (drawn from the
+// cluster's dedicated churn rng); kJoin/kLeave target the slot in
+// Request::key.
 enum class ChurnKind : std::uint8_t { kNone = 0, kReplace, kJoin, kLeave };
 
 // Fault-mode flips ride the shard rings the same way churn does: an
@@ -60,8 +59,8 @@ enum class ChurnKind : std::uint8_t { kNone = 0, kReplace, kJoin, kLeave };
 // Request::key at a definite FIFO position in the shard's request
 // subsequence. Adversarial scenarios are therefore deterministic and
 // replayable — the same submission order produces bit-identical
-// aggregates at any worker count and on either draw path. The kinds
-// mirror replica::FaultMode one-for-one (kCorrect heals a server).
+// aggregates at any worker count. The kinds mirror replica::FaultMode
+// one-for-one (kCorrect heals a server).
 enum class FaultKind : std::uint8_t {
   kNone = 0,
   kCorrect,
@@ -176,7 +175,6 @@ class KvService {
     std::size_t queue_capacity = 4096;  // per-shard ring slots
     std::size_t batch = 64;             // max requests per dequeue
     std::shared_ptr<const quorum::QuorumSystem> quorums;
-    replica::DrawPath draw_path = replica::DrawPath::kMask;
     std::uint64_t seed = 1;  // shard s cluster seed derives from this
     // Dynamic membership on every shard cluster (see
     // replica::InstantCluster::Config): the quorum system's universe

@@ -80,9 +80,9 @@ WorkloadReport run_workload(replica::InstantCluster& cluster,
 
 // In-place variant: `report` is reset and refilled, and operations run
 // through the cluster's write_into/read_into so result scratch is reused
-// across the whole loop. On the cluster's kMask draw path the steady-state
-// op loop performs no allocation (the per-key last-written map stops
-// growing once every key has been written). Same draws, same counters as
+// across the whole loop. The steady-state op loop performs no allocation
+// (the per-key last-written map stops growing once every key has been
+// written). Same draws, same counters as
 // run_workload for any fixed rng state.
 void run_workload_into(replica::InstantCluster& cluster,
                        const WorkloadSpec& spec, math::Rng& rng,

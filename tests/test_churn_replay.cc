@@ -2,15 +2,14 @@
 // events interleaved with write/read pairs, replayed through dynamic
 // InstantCluster shards, must be a pure function of the shard seed: the
 // same per-operation trace, final view, and rng tails — across {1, 8}
-// worker threads, across the mask/allocating draw paths, and against a
-// serially-computed reference. The style (and the reason it works: every
-// shard's state is self-contained, so scheduling cannot matter) follows
-// test_protocol_draw_equivalence.
+// worker threads and against a serially-computed reference (it works
+// because every shard's state is self-contained, so scheduling cannot
+// matter).
 //
 // Also anchors the stream-preservation contract: with every slot live and
 // no churn, a dynamic-membership cluster is bit-identical to a static one
-// on both draw paths — turning the feature on costs nothing until the
-// first membership event.
+// — turning the feature on costs nothing until the first membership
+// event.
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -70,12 +69,11 @@ void apply_schedule(InstantCluster& cluster, int pair) {
   if (pair % 24 == 19) cluster.leave(63);
 }
 
-Trace run_schedule(DrawPath path, std::uint64_t seed) {
+Trace run_schedule(std::uint64_t seed) {
   InstantCluster::Config cfg;
   cfg.quorums = std::make_shared<core::RandomSubsetSystem>(kCapacity, kQuorum);
   cfg.seed = seed;
   cfg.churn_seed = seed ^ 0x5eedc0deULL;
-  cfg.draw_path = path;
   cfg.dynamic_membership = true;
   cfg.initial_live = kInitialLive;
   InstantCluster cluster(cfg);
@@ -105,38 +103,33 @@ Trace run_schedule(DrawPath path, std::uint64_t seed) {
 std::uint64_t shard_seed(std::uint64_t s) { return 17 + 1000003 * s; }
 
 // The replay gate: 8 shard schedules computed serially (the reference),
-// then concurrently at {1, 8} worker threads on both draw paths — every
-// trace must equal the reference bit for bit, rng tails included.
-TEST(ChurnReplay, BitIdenticalAcrossThreadsAndDrawPaths) {
+// then concurrently at {1, 8} worker threads — every trace must equal the
+// reference bit for bit, rng tails included.
+TEST(ChurnReplay, BitIdenticalAcrossThreads) {
   constexpr std::uint32_t kShards = 8;
   std::vector<Trace> reference(kShards);
   for (std::uint32_t s = 0; s < kShards; ++s) {
-    reference[s] = run_schedule(DrawPath::kMask, shard_seed(s));
+    reference[s] = run_schedule(shard_seed(s));
   }
   // The schedule actually churns: epochs advanced and membership moved.
   ASSERT_GT(reference[0].epoch, 20u);
   ASSERT_GE(reference[0].live, kInitialLive);
 
   for (const unsigned threads : {1u, 8u}) {
-    for (const DrawPath path : {DrawPath::kMask, DrawPath::kAllocating}) {
-      std::vector<Trace> traces(kShards);
-      util::WorkerPool pool(threads);
-      pool.run(kShards, [&](std::uint64_t s) {
-        traces[s] = run_schedule(path, shard_seed(s));
-      });
-      for (std::uint32_t s = 0; s < kShards; ++s) {
-        ASSERT_EQ(traces[s].ops.size(), reference[s].ops.size());
-        for (std::size_t i = 0; i < traces[s].ops.size(); ++i) {
-          ASSERT_TRUE(traces[s].ops[i] == reference[s].ops[i])
-              << "threads=" << threads
-              << " path=" << (path == DrawPath::kMask ? "mask" : "alloc")
-              << " shard=" << s << " op=" << i;
-        }
-        ASSERT_TRUE(traces[s] == reference[s])
-            << "threads=" << threads
-            << " path=" << (path == DrawPath::kMask ? "mask" : "alloc")
-            << " shard=" << s << " diverged outside the op trace";
+    std::vector<Trace> traces(kShards);
+    util::WorkerPool pool(threads);
+    pool.run(kShards, [&](std::uint64_t s) {
+      traces[s] = run_schedule(shard_seed(s));
+    });
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      ASSERT_EQ(traces[s].ops.size(), reference[s].ops.size());
+      for (std::size_t i = 0; i < traces[s].ops.size(); ++i) {
+        ASSERT_TRUE(traces[s].ops[i] == reference[s].ops[i])
+            << "threads=" << threads << " shard=" << s << " op=" << i;
       }
+      ASSERT_TRUE(traces[s] == reference[s])
+          << "threads=" << threads << " shard=" << s
+          << " diverged outside the op trace";
     }
   }
 }
@@ -145,23 +138,22 @@ TEST(ChurnReplay, BitIdenticalAcrossThreadsAndDrawPaths) {
 // seed), and different seeds genuinely diverge — the harness measures
 // something.
 TEST(ChurnReplay, ReplayIsPureFunctionOfSeed) {
-  const Trace a = run_schedule(DrawPath::kMask, 99);
-  const Trace b = run_schedule(DrawPath::kMask, 99);
+  const Trace a = run_schedule(99);
+  const Trace b = run_schedule(99);
   EXPECT_TRUE(a == b);
-  const Trace c = run_schedule(DrawPath::kMask, 100);
+  const Trace c = run_schedule(100);
   EXPECT_FALSE(a == c);
 }
 
 // Stream preservation: dynamic membership with a full live view and no
-// churn must be bit-identical to the static cluster on both paths — same
-// quorums, same outcomes, same rng tail.
+// churn must be bit-identical to the static cluster — same quorums, same
+// outcomes, same rng tail.
 TEST(ChurnReplay, FullLiveDynamicMatchesStaticCluster) {
-  auto run = [](bool dynamic, DrawPath path) {
+  auto run = [](bool dynamic) {
     InstantCluster::Config cfg;
     cfg.quorums =
         std::make_shared<core::RandomSubsetSystem>(kCapacity, kQuorum);
     cfg.seed = 41;
-    cfg.draw_path = path;
     cfg.dynamic_membership = dynamic;
     InstantCluster cluster(cfg);
     Trace trace;
@@ -178,17 +170,13 @@ TEST(ChurnReplay, FullLiveDynamicMatchesStaticCluster) {
     trace.rng_tail = cluster.rng().next();
     return trace;
   };
-  for (const DrawPath path : {DrawPath::kMask, DrawPath::kAllocating}) {
-    const Trace dynamic = run(/*dynamic=*/true, path);
-    const Trace fixed = run(/*dynamic=*/false, path);
-    ASSERT_EQ(dynamic.ops.size(), fixed.ops.size());
-    for (std::size_t i = 0; i < dynamic.ops.size(); ++i) {
-      ASSERT_TRUE(dynamic.ops[i] == fixed.ops[i])
-          << "path=" << (path == DrawPath::kMask ? "mask" : "alloc")
-          << " op=" << i;
-    }
-    EXPECT_EQ(dynamic.rng_tail, fixed.rng_tail);
+  const Trace dynamic = run(/*dynamic=*/true);
+  const Trace fixed = run(/*dynamic=*/false);
+  ASSERT_EQ(dynamic.ops.size(), fixed.ops.size());
+  for (std::size_t i = 0; i < dynamic.ops.size(); ++i) {
+    ASSERT_TRUE(dynamic.ops[i] == fixed.ops[i]) << "op=" << i;
   }
+  EXPECT_EQ(dynamic.rng_tail, fixed.rng_tail);
 }
 
 }  // namespace

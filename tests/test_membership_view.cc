@@ -3,9 +3,9 @@
 // Covers the lattice laws the gossip layer leans on (merge commutativity,
 // associativity, idempotence — fuzzed over random op sequences), the
 // epoch/mask round-trips of join/leave/replace, the rank-translation draw
-// paths (or_expand against a nth_live reference, mask/vector rng-stream
-// parity, full-live equivalence to the static R(n, q) draw), and fuzzed
-// view-diffusion convergence over the real diffusion/ gossip engine.
+// (or_expand against a nth_live reference, full-live equivalence to the
+// static R(n, q) draw), and fuzzed view-diffusion convergence over the
+// real diffusion/ gossip engine.
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -197,7 +197,8 @@ TEST(MembershipView, OrExpandMatchesRankTranslation) {
     const std::uint32_t live = view.live_count();
     const auto q = static_cast<std::uint32_t>(rng.below(live)) + 1;
 
-    // Compact draw, expanded two ways from identical rng states.
+    // Compact draw from identical rng states: expanded through the live
+    // mask by the view, and here rank by rank through nth_live.
     math::Rng draw_a(1000 + trial);
     math::Rng draw_b = draw_a;
     QuorumBitset mask;
@@ -205,14 +206,15 @@ TEST(MembershipView, OrExpandMatchesRankTranslation) {
     view.sample_live_mask(q, draw_a, mask, scratch);
 
     Quorum members;
-    view.sample_live_into(q, draw_b, members);
+    math::sample_without_replacement(live, q, draw_b, members);
+    for (ServerId& u : members) u = view.nth_live(u);
 
     ASSERT_EQ(mask.count(), q);
     ASSERT_EQ(members.size(), q);
     QuorumBitset reference(capacity);
     reference.assign(members);
     ASSERT_TRUE(mask.equals(reference)) << "trial " << trial;
-    // Identical rng consumption on both paths.
+    // The expansion consumes nothing beyond the compact draw.
     ASSERT_EQ(draw_a.next(), draw_b.next()) << "trial " << trial;
     // Every drawn member is live.
     for (const ServerId u : members) ASSERT_TRUE(view.is_live(u));

@@ -6,7 +6,7 @@
 // handoff, and the client's reader threads. The load-bearing contract is
 // the tentpole gate in miniature: with a single client connection the
 // per-shard deterministic aggregates observed through the socket path
-// must be bit-identical across service worker counts and draw paths.
+// must be bit-identical across service worker counts.
 // The rest pins down GET/PUT semantics, out-of-order response matching
 // under pipelining, the inline STATS opcode, and that garbage on the
 // wire closes the connection instead of wedging the server.
@@ -37,14 +37,12 @@ std::shared_ptr<const quorum::QuorumSystem> majority(std::uint32_t n = 15) {
 }
 
 serve::KvService::Config service_config(std::uint32_t shards,
-                                        std::uint32_t workers,
-                                        replica::DrawPath path) {
+                                        std::uint32_t workers) {
   serve::KvService::Config cfg;
   cfg.shards = shards;
   cfg.workers = workers;
   cfg.queue_capacity = 256;
   cfg.quorums = majority();
-  cfg.draw_path = path;
   cfg.seed = 99;
   return cfg;
 }
@@ -52,10 +50,9 @@ serve::KvService::Config service_config(std::uint32_t shards,
 // One server deployment driven over loopback by one pipelined
 // connection; returns the service's per-shard aggregates.
 std::vector<serve::ShardAggregate> run_over_socket(std::uint32_t workers,
-                                                   replica::DrawPath path,
                                                    std::uint32_t io_threads,
                                                    std::uint64_t ops) {
-  serve::KvService service(service_config(4, workers, path));
+  serve::KvService service(service_config(4, workers));
   KvServer::Config server_cfg;
   server_cfg.io_threads = io_threads;
   KvServer server(server_cfg, service);
@@ -89,7 +86,7 @@ std::vector<serve::ShardAggregate> run_over_socket(std::uint32_t workers,
 
 TEST(KvServer, PutThenGetRoundTripsTheValue) {
   serve::KvService service(
-      service_config(2, 1, replica::DrawPath::kMask));
+      service_config(2, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   ASSERT_GT(server.port(), 0);
@@ -120,16 +117,14 @@ TEST(KvServer, PutThenGetRoundTripsTheValue) {
   server.stop();
 }
 
-TEST(KvServer, AggregatesBitIdenticalAcrossWorkersAndDrawPathsOverTcp) {
+TEST(KvServer, AggregatesBitIdenticalAcrossWorkersOverTcp) {
   constexpr std::uint64_t kOps = 2000;
-  using replica::DrawPath;
-  const auto base = run_over_socket(1, DrawPath::kMask, 1, kOps);
+  const auto base = run_over_socket(1, 1, kOps);
   ASSERT_EQ(base.size(), 4u);
-  EXPECT_EQ(base, run_over_socket(4, DrawPath::kMask, 1, kOps));
-  EXPECT_EQ(base, run_over_socket(4, DrawPath::kAllocating, 1, kOps));
+  EXPECT_EQ(base, run_over_socket(4, 1, kOps));
   // More IO threads change nothing either: one connection still decodes
   // on one thread, in wire order.
-  EXPECT_EQ(base, run_over_socket(2, DrawPath::kMask, 2, kOps));
+  EXPECT_EQ(base, run_over_socket(2, 2, kOps));
 }
 
 TEST(KvServer, PipelinedResponsesMatchOutOfOrderCompletions) {
@@ -138,7 +133,7 @@ TEST(KvServer, PipelinedResponsesMatchOutOfOrderCompletions) {
   // can pair them. The client asserts every response matches a pending
   // request (a mismatch fails the connection).
   serve::KvService service(
-      service_config(8, 4, replica::DrawPath::kMask));
+      service_config(8, 4));
   KvServer::Config server_cfg;
   server_cfg.io_threads = 2;
   KvServer server(server_cfg, service);
@@ -166,7 +161,7 @@ TEST(KvServer, PipelinedResponsesMatchOutOfOrderCompletions) {
 
 TEST(KvServer, StatsOpcodeAnsweredInlineFromTheIoThread) {
   serve::KvService service(
-      service_config(1, 1, replica::DrawPath::kMask));
+      service_config(1, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   service.start();
@@ -222,7 +217,7 @@ TEST(KvServer, StatsOpcodeAnsweredInlineFromTheIoThread) {
 
 TEST(KvServer, GarbageBytesCloseTheConnectionNotTheServer) {
   serve::KvService service(
-      service_config(1, 1, replica::DrawPath::kMask));
+      service_config(1, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   service.start();
@@ -274,7 +269,7 @@ ClientStats run_against_fault(FaultInjector& injector,
                               std::uint32_t client_connections,
                               std::uint64_t ops) {
   serve::KvService service(
-      service_config(2, 2, replica::DrawPath::kMask));
+      service_config(2, 2));
   KvServer::Config server_cfg;
   server_cfg.fault_injector = &injector;
   KvServer server(server_cfg, service);
@@ -352,7 +347,7 @@ TEST(KvServerFaults, DelayedResponsesCompleteWithoutDeadlines) {
   injector.set_action(1, FaultAction::kDelay);
 
   serve::KvService service(
-      service_config(2, 2, replica::DrawPath::kMask));
+      service_config(2, 2));
   KvServer::Config server_cfg;
   server_cfg.fault_injector = &injector;
   KvServer server(server_cfg, service);
@@ -480,7 +475,7 @@ bool read_frame(int fd, FrameDecoder& decoder, Frame& out) {
 }
 
 TEST(KvServerAdversarial, BadOpcodeCondemnsOnlyThatConnection) {
-  serve::KvService service(service_config(2, 1, replica::DrawPath::kMask));
+  serve::KvService service(service_config(2, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   service.start();
@@ -523,7 +518,7 @@ TEST(KvServerAdversarial, BadOpcodeCondemnsOnlyThatConnection) {
 }
 
 TEST(KvServerAdversarial, OversizedBodyLengthCondemnsAfterFourBytes) {
-  serve::KvService service(service_config(1, 1, replica::DrawPath::kMask));
+  serve::KvService service(service_config(1, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   service.start();
@@ -557,7 +552,7 @@ TEST(KvServerAdversarial, OversizedBodyLengthCondemnsAfterFourBytes) {
 }
 
 TEST(KvServerAdversarial, ReplayedRequestIdsEachGetTheirOwnResponse) {
-  serve::KvService service(service_config(2, 1, replica::DrawPath::kMask));
+  serve::KvService service(service_config(2, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   service.start();
@@ -600,7 +595,7 @@ TEST(KvServerAdversarial, ReplayedRequestIdsEachGetTheirOwnResponse) {
 }
 
 TEST(KvServerAdversarial, SharedRequestIdsStayOnTheirOwnConnections) {
-  serve::KvService service(service_config(2, 1, replica::DrawPath::kMask));
+  serve::KvService service(service_config(2, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   service.start();

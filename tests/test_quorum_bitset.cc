@@ -1,6 +1,5 @@
 // QuorumBitset's word-parallel set algebra must agree with the sorted-vector
-// routines it replaced, and every construction's sample_into fast path must
-// reproduce sample() draw-for-draw.
+// routines it replaced.
 #include "quorum/bitset.h"
 
 #include <memory>
@@ -11,12 +10,6 @@
 #include "core/random_subset_system.h"
 #include "math/rng.h"
 #include "math/sampling.h"
-#include "quorum/grid.h"
-#include "quorum/set_system.h"
-#include "quorum/singleton.h"
-#include "quorum/threshold.h"
-#include "quorum/wall.h"
-#include "quorum/weighted.h"
 
 namespace pqs::quorum {
 namespace {
@@ -118,48 +111,7 @@ TEST(QuorumBitset, ResizeReusesAcrossUniverses) {
   EXPECT_EQ(bs.count(), 1u);
 }
 
-// sample_into must reproduce sample() draw-for-draw from equal rng states,
-// for every construction that overrides the fast path.
-void expect_sample_into_parity(const QuorumSystem& sys, std::uint64_t seed) {
-  math::Rng rng_a(seed), rng_b(seed);
-  Quorum scratch;
-  for (int draw = 0; draw < 200; ++draw) {
-    const Quorum expected = sys.sample(rng_a);
-    sys.sample_into(scratch, rng_b);
-    ASSERT_EQ(scratch, expected) << sys.name() << " draw " << draw;
-  }
-}
-
-TEST(SampleInto, MatchesSampleThreshold) {
-  expect_sample_into_parity(ThresholdSystem(21, 11), 101);
-}
-
-TEST(SampleInto, MatchesSampleRandomSubset) {
-  expect_sample_into_parity(core::RandomSubsetSystem(100, 23), 103);
-}
-
-TEST(SampleInto, MatchesSampleGrid) {
-  expect_sample_into_parity(GridSystem(7, 7, 2), 107);
-}
-
-TEST(SampleInto, MatchesSampleWall) {
-  expect_sample_into_parity(WallSystem::uniform(4, 6), 109);
-}
-
-TEST(SampleInto, MatchesSampleWeighted) {
-  std::vector<std::uint32_t> votes(30, 1);
-  for (int i = 0; i < 5; ++i) votes[i] = 4;
-  expect_sample_into_parity(WeightedVotingSystem(votes, 24), 113);
-}
-
-TEST(SampleInto, MatchesSampleSingleton) {
-  expect_sample_into_parity(SingletonSystem(10, 3), 127);
-}
-
-TEST(SampleInto, MatchesSampleSetSystem) {
-  expect_sample_into_parity(SetSystem::all_subsets(6, 3), 131);
-}
-
+// The sorted-id adapter over sample_mask reuses the caller's vector.
 TEST(SampleInto, ReusesCapacity) {
   const core::RandomSubsetSystem sys(100, 23);
   math::Rng rng(1);

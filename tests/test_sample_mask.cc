@@ -1,11 +1,12 @@
-// The mask-native draw path must be indistinguishable (same member sets,
-// same rng consumption) from the sorted-vector path for every
-// construction, and the word-parallel liveness checks must agree with the
-// vector<bool> reference on every alive mask — including inside the
-// batched-Bernoulli failure-probability estimator, bit for bit, at any
-// thread count.
+// The word-parallel liveness checks must agree with straight vector<bool>
+// loops over each construction's definition on every alive mask —
+// including inside the batched-Bernoulli failure-probability estimator,
+// bit for bit, at any thread count — and both liveness entry points must
+// refuse an alive set that does not span the universe.
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -16,10 +17,12 @@
 #include "core/random_subset_system.h"
 #include "math/bernoulli.h"
 #include "math/rng.h"
+#include "math/stats.h"
 #include "quorum/bitset.h"
 #include "quorum/grid.h"
 #include "quorum/set_system.h"
 #include "quorum/singleton.h"
+#include "quorum/strategy.h"
 #include "quorum/threshold.h"
 #include "quorum/wall.h"
 #include "quorum/weighted.h"
@@ -31,80 +34,213 @@ using quorum::Quorum;
 using quorum::QuorumBitset;
 using quorum::QuorumSystem;
 
-using SystemFactory = std::shared_ptr<const QuorumSystem> (*)();
+// ---------------------------------------------------------------------
+// Test-local vector<bool> references: one plain loop per construction,
+// written from its definition and sharing no code with the mask
+// predicates under test.
+// ---------------------------------------------------------------------
 
-std::shared_ptr<const QuorumSystem> make_threshold() {
-  return std::make_shared<quorum::ThresholdSystem>(
-      quorum::ThresholdSystem::majority(67));
-}
-std::shared_ptr<const QuorumSystem> make_grid() {
-  // 7x7, d=2: spans word boundaries neither at 64 nor 128.
-  return std::make_shared<quorum::GridSystem>(quorum::GridSystem(7, 7, 2));
-}
-std::shared_ptr<const QuorumSystem> make_big_grid() {
-  // 12x12 = 144 servers: rows straddle the 64- and 128-bit word seams.
-  return std::make_shared<quorum::GridSystem>(quorum::GridSystem(12, 12, 1));
-}
-std::shared_ptr<const QuorumSystem> make_wall() {
-  return std::make_shared<quorum::WallSystem>(
-      quorum::WallSystem({40, 30, 20, 10}));  // 100 servers, crosses a word
-}
-std::shared_ptr<const QuorumSystem> make_weighted() {
-  std::vector<std::uint32_t> votes(70, 1);
-  for (int i = 0; i < 10; ++i) votes[i] = 5;
-  return std::make_shared<quorum::WeightedVotingSystem>(
-      quorum::WeightedVotingSystem(votes, 61));
-}
-std::shared_ptr<const QuorumSystem> make_singleton() {
-  return std::make_shared<quorum::SingletonSystem>(66, 65);
-}
-std::shared_ptr<const QuorumSystem> make_set_system() {
-  return std::make_shared<quorum::SetSystem>(
-      quorum::SetSystem::all_subsets(7, 4));
-}
-std::shared_ptr<const QuorumSystem> make_random_subset() {
-  return std::make_shared<core::RandomSubsetSystem>(130, 27);
+std::uint32_t count_alive(const std::vector<bool>& alive) {
+  std::uint32_t count = 0;
+  for (const bool a : alive) count += a ? 1u : 0u;
+  return count;
 }
 
-class MaskPathEquivalence : public ::testing::TestWithParam<SystemFactory> {};
+bool every_member_alive(const Quorum& quorum, const std::vector<bool>& alive) {
+  for (const quorum::ServerId u : quorum) {
+    if (!alive[u]) return false;
+  }
+  return true;
+}
 
-// sample_mask must mark exactly the members sample_into emits, drawing the
-// same rng values — checked in lockstep over many draws so any stream
-// divergence compounds and fails fast.
-TEST_P(MaskPathEquivalence, MaskAndVectorDrawsAgree) {
-  const auto sys = GetParam()();
-  for (std::uint64_t seed : {1ull, 42ull, 0xfeedfaceull}) {
-    math::Rng rng_vec(seed), rng_mask(seed);
-    Quorum q, from_mask;
-    QuorumBitset mask;
-    for (int draw = 0; draw < 200; ++draw) {
-      sys->sample_into(q, rng_vec);
-      sys->sample_mask(mask, rng_mask);
-      ASSERT_EQ(mask.universe_size(), sys->universe_size());
-      mask.to_quorum_into(from_mask);
-      ASSERT_EQ(from_mask, q) << sys->name() << " seed " << seed << " draw "
-                              << draw;
+// >= d fully alive rows and >= d fully alive columns.
+bool grid_reference(const quorum::GridSystem& g,
+                    const std::vector<bool>& alive) {
+  std::uint32_t live_rows = 0;
+  for (std::uint32_t r = 0; r < g.rows(); ++r) {
+    bool ok = true;
+    for (std::uint32_t c = 0; c < g.cols(); ++c) {
+      ok = ok && alive[r * g.cols() + c];
     }
-    // The two streams must end in the same state.
-    EXPECT_EQ(rng_vec.next(), rng_mask.next()) << sys->name();
+    live_rows += ok ? 1u : 0u;
   }
+  std::uint32_t live_cols = 0;
+  for (std::uint32_t c = 0; c < g.cols(); ++c) {
+    bool ok = true;
+    for (std::uint32_t r = 0; r < g.rows(); ++r) {
+      ok = ok && alive[r * g.cols() + c];
+    }
+    live_cols += ok ? 1u : 0u;
+  }
+  return live_rows >= g.depth() && live_cols >= g.depth();
 }
 
-// sample() must still agree with the mask path too (it is documented as
-// the same draw at a different representation).
-TEST_P(MaskPathEquivalence, AllocatingSampleAgrees) {
-  const auto sys = GetParam()();
-  math::Rng rng_a(7), rng_b(7);
-  QuorumBitset mask;
-  for (int draw = 0; draw < 50; ++draw) {
-    const Quorum expected = sys->sample(rng_a);
-    sys->sample_mask(mask, rng_b);
-    ASSERT_EQ(mask.to_quorum(), expected) << sys->name();
+// Some row fully alive with every row below it holding a survivor.
+bool wall_reference(const quorum::WallSystem& wall,
+                    const std::vector<bool>& alive) {
+  const auto& widths = wall.widths();
+  std::vector<std::uint32_t> starts;
+  std::uint32_t at = 0;
+  for (const std::uint32_t w : widths) {
+    starts.push_back(at);
+    at += w;
   }
+  for (std::size_t i = 0; i < widths.size(); ++i) {
+    bool full = true;
+    for (std::uint32_t c = 0; c < widths[i]; ++c) {
+      full = full && alive[starts[i] + c];
+    }
+    if (!full) continue;
+    bool below = true;
+    for (std::size_t j = i + 1; j < widths.size(); ++j) {
+      bool any = false;
+      for (std::uint32_t c = 0; c < widths[j]; ++c) {
+        any = any || alive[starts[j] + c];
+      }
+      below = below && any;
+    }
+    if (below) return true;
+  }
+  return false;
 }
 
-TEST_P(MaskPathEquivalence, LivenessChecksAgreeOnRandomMasks) {
-  const auto sys = GetParam()();
+bool weighted_reference(const quorum::WeightedVotingSystem& sys,
+                        const std::vector<bool>& alive) {
+  std::uint32_t gathered = 0;
+  for (std::size_t u = 0; u < alive.size(); ++u) {
+    if (alive[u]) gathered += sys.votes()[u];
+  }
+  return gathered >= sys.threshold();
+}
+
+bool set_system_reference(const quorum::SetSystem& sys,
+                          const std::vector<bool>& alive) {
+  for (const Quorum& q : sys.quorums()) {
+    if (every_member_alive(q, alive)) return true;
+  }
+  return false;
+}
+
+// A live read quorum and a live write quorum.
+bool strategy_reference(const quorum::Strategy& s,
+                        const std::vector<bool>& alive) {
+  bool read = false;
+  for (std::uint32_t i = 0; i < s.read_support_size(); ++i) {
+    read = read || every_member_alive(s.read_quorum(i), alive);
+  }
+  bool write = false;
+  for (std::uint32_t i = 0; i < s.write_support_size(); ++i) {
+    write = write || every_member_alive(s.write_quorum(i), alive);
+  }
+  return read && write;
+}
+
+struct Case {
+  std::shared_ptr<const QuorumSystem> (*make)();
+  bool (*reference)(const QuorumSystem&, const std::vector<bool>&);
+};
+
+template <typename System>
+const System& as(const QuorumSystem& sys) {
+  return dynamic_cast<const System&>(sys);
+}
+
+const Case kCases[] = {
+    {[] {
+       return std::shared_ptr<const QuorumSystem>(
+           std::make_shared<quorum::ThresholdSystem>(
+               quorum::ThresholdSystem::majority(67)));
+     },
+     [](const QuorumSystem&, const std::vector<bool>& alive) {
+       return count_alive(alive) >= 34;
+     }},
+    // 7x7, d=2: spans word boundaries neither at 64 nor 128.
+    {[] {
+       return std::shared_ptr<const QuorumSystem>(
+           std::make_shared<quorum::GridSystem>(7, 7, 2));
+     },
+     [](const QuorumSystem& sys, const std::vector<bool>& alive) {
+       return grid_reference(as<quorum::GridSystem>(sys), alive);
+     }},
+    // 12x12 = 144 servers: rows straddle the 64- and 128-bit word seams.
+    {[] {
+       return std::shared_ptr<const QuorumSystem>(
+           std::make_shared<quorum::GridSystem>(12, 12, 1));
+     },
+     [](const QuorumSystem& sys, const std::vector<bool>& alive) {
+       return grid_reference(as<quorum::GridSystem>(sys), alive);
+     }},
+    // 100 servers, crosses a word.
+    {[] {
+       return std::shared_ptr<const QuorumSystem>(
+           std::make_shared<quorum::WallSystem>(
+               std::vector<std::uint32_t>{40, 30, 20, 10}));
+     },
+     [](const QuorumSystem& sys, const std::vector<bool>& alive) {
+       return wall_reference(as<quorum::WallSystem>(sys), alive);
+     }},
+    {[] {
+       std::vector<std::uint32_t> votes(70, 1);
+       for (int i = 0; i < 10; ++i) votes[i] = 5;
+       return std::shared_ptr<const QuorumSystem>(
+           std::make_shared<quorum::WeightedVotingSystem>(votes, 61));
+     },
+     [](const QuorumSystem& sys, const std::vector<bool>& alive) {
+       return weighted_reference(as<quorum::WeightedVotingSystem>(sys),
+                                 alive);
+     }},
+    {[] {
+       return std::shared_ptr<const QuorumSystem>(
+           std::make_shared<quorum::SingletonSystem>(66, 65));
+     },
+     [](const QuorumSystem&, const std::vector<bool>& alive) {
+       return static_cast<bool>(alive[65]);
+     }},
+    {[] {
+       return std::shared_ptr<const QuorumSystem>(
+           std::make_shared<quorum::SetSystem>(
+               quorum::SetSystem::all_subsets(7, 4)));
+     },
+     [](const QuorumSystem& sys, const std::vector<bool>& alive) {
+       return set_system_reference(as<quorum::SetSystem>(sys), alive);
+     }},
+    // Explicit supports over R(15, 6), reads and writes overlapping.
+    {[] {
+       auto base = std::make_shared<core::RandomSubsetSystem>(15, 6);
+       return std::shared_ptr<const QuorumSystem>(
+           std::make_shared<quorum::Strategy>(
+               std::move(base),
+               std::vector<Quorum>{{0, 1, 2, 3, 4, 5}, {3, 4, 5, 6, 7, 8}},
+               std::vector<double>{0.7, 0.3},
+               std::vector<Quorum>{{0, 2, 4, 6, 8, 10},
+                                   {4, 5, 6, 7, 12, 14}},
+               std::vector<double>{0.5, 0.5}));
+     },
+     [](const QuorumSystem& sys, const std::vector<bool>& alive) {
+       return strategy_reference(as<quorum::Strategy>(sys), alive);
+     }},
+    {[] {
+       return std::shared_ptr<const QuorumSystem>(
+           std::make_shared<core::RandomSubsetSystem>(130, 27));
+     },
+     [](const QuorumSystem&, const std::vector<bool>& alive) {
+       return count_alive(alive) >= 27;
+     }},
+};
+
+std::vector<bool> to_vector(const QuorumBitset& alive) {
+  std::vector<bool> out(alive.universe_size(), false);
+  for (std::uint32_t u = 0; u < alive.universe_size(); ++u) {
+    out[u] = alive.test(u);
+  }
+  return out;
+}
+
+class Liveness : public ::testing::TestWithParam<Case> {};
+
+TEST_P(Liveness, MaskAndVectorFormsAgreeWithReferenceOnRandomMasks) {
+  const Case& c = GetParam();
+  const auto sys = c.make();
   const std::uint32_t n = sys->universe_size();
   math::Rng rng(99);
   for (double p : {0.0, 0.1, 0.5, 0.9, 1.0}) {
@@ -116,45 +252,100 @@ TEST_P(MaskPathEquivalence, LivenessChecksAgreeOnRandomMasks) {
         words[i] = ~dead.draw_block(rng);
       }
       alive.mask_padding();
-      std::vector<bool> alive_vec(n, false);
-      for (std::uint32_t u = 0; u < n; ++u) {
-        if (alive.test(u)) alive_vec[u] = true;
-      }
-      ASSERT_EQ(sys->has_live_quorum_mask(alive),
-                sys->has_live_quorum(alive_vec))
+      const std::vector<bool> alive_vec = to_vector(alive);
+      const bool want = c.reference(*sys, alive_vec);
+      ASSERT_EQ(sys->has_live_quorum_mask(alive), want)
+          << sys->name() << " p=" << p << " trial=" << trial;
+      ASSERT_EQ(sys->has_live_quorum(alive_vec), want)
           << sys->name() << " p=" << p << " trial=" << trial;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllConstructions, MaskPathEquivalence,
-                         ::testing::Values(&make_threshold, &make_grid,
-                                           &make_big_grid, &make_wall,
-                                           &make_weighted, &make_singleton,
-                                           &make_set_system,
-                                           &make_random_subset));
+// Both entry points check alive against the universe once, in the base
+// class: too short, too long, or a mask over another universe throws
+// instead of reading past the end or counting servers that do not exist.
+TEST_P(Liveness, RejectsAliveSetsOfTheWrongSize) {
+  const auto sys = GetParam().make();
+  const std::uint32_t n = sys->universe_size();
+  EXPECT_THROW(sys->has_live_quorum(std::vector<bool>(n - 1, true)),
+               std::invalid_argument)
+      << sys->name();
+  EXPECT_THROW(sys->has_live_quorum(std::vector<bool>(n + 1, true)),
+               std::invalid_argument)
+      << sys->name();
+  for (const std::uint32_t wrong : {n - 1, n + 1, n + 64}) {
+    QuorumBitset alive(wrong);
+    alive.set_range(0, wrong);
+    EXPECT_THROW(sys->has_live_quorum_mask(alive), std::invalid_argument)
+        << sys->name() << " mask universe " << wrong;
+  }
+  EXPECT_TRUE(sys->has_live_quorum(std::vector<bool>(n, true)))
+      << sys->name();
+}
 
-// The batched-Bernoulli failure-probability estimator must return
-// bit-identical Proportions through the word-parallel liveness path and
-// the scalar vector<bool> reference path, at every thread count — both
-// paths see the same alive masks, so any disagreement is a bug in a
-// construction's has_live_quorum_mask.
+INSTANTIATE_TEST_SUITE_P(AllConstructions, Liveness,
+                         ::testing::ValuesIn(kCases));
+
+// The cases that used to answer instead of throwing: a 5-server majority
+// counted 10 live servers, a mask over 200 servers likewise, and a 3x3
+// grid read past the end of a 4-entry vector.
+TEST(LivenessSizeContract, OversizedAndShortAliveSetsThrow) {
+  const quorum::ThresholdSystem threshold(5, 3);
+  EXPECT_THROW(threshold.has_live_quorum(std::vector<bool>(10, true)),
+               std::invalid_argument);
+  QuorumBitset wide(200);
+  wide.set_range(0, 200);
+  EXPECT_THROW(threshold.has_live_quorum_mask(wide), std::invalid_argument);
+  const quorum::GridSystem grid(3, 3, 1);
+  EXPECT_THROW(grid.has_live_quorum(std::vector<bool>(4, true)),
+               std::invalid_argument);
+}
+
+// The estimator's trial loop with the reference predicate in place of
+// has_live_quorum_mask: same substreams, same alive masks, so the two
+// Proportions must match bit for bit.
+math::Proportion reference_failure_probability(const Case& c,
+                                               const QuorumSystem& sys,
+                                               double p, std::uint64_t samples,
+                                               math::Rng& rng,
+                                               core::Estimator& engine) {
+  const std::uint32_t n = sys.universe_size();
+  const math::BernoulliBlockSampler dead(p);
+  return engine.run_trials<math::Proportion>(
+      samples, rng,
+      [&](std::uint32_t, std::uint64_t shard_samples, math::Rng& shard_rng) {
+        QuorumBitset alive(n);
+        math::Proportion result;
+        for (std::uint64_t s = 0; s < shard_samples; ++s) {
+          dead.fill(alive.word_data(), alive.word_count(), shard_rng,
+                    /*invert=*/true);
+          alive.mask_padding();
+          result.add(!c.reference(sys, to_vector(alive)));
+        }
+        return result;
+      },
+      [](math::Proportion& acc, const math::Proportion& part) {
+        acc.add(part.successes(), part.trials());
+      });
+}
+
+// The batched-Bernoulli failure-probability estimator must return the
+// reference's Proportion bit for bit at every thread count — both see the
+// same alive masks, so any disagreement is a bug in a construction's
+// mask predicate.
 TEST(FailureProbabilityPaths, BatchedMatchesScalarBitForBit) {
-  const std::vector<std::shared_ptr<const QuorumSystem>> systems = {
-      make_threshold(), make_grid(), make_big_grid(), make_wall(),
-      make_weighted(), make_set_system(), make_random_subset()};
-  for (const auto& sys : systems) {
+  for (const Case& c : kCases) {
+    const auto sys = c.make();
     for (double p : {0.25, 0.5, 0.61}) {
       std::vector<std::pair<std::uint64_t, std::uint64_t>> results;
       for (unsigned threads : {1u, 2u, 8u}) {
         core::Estimator engine({threads});
         math::Rng rng_fast(4242), rng_ref(4242);
         const auto fast = core::estimate_failure_probability(
-            *sys, p, 20000, rng_fast, engine,
-            core::LivenessCheck::kWordParallel);
-        const auto ref = core::estimate_failure_probability(
-            *sys, p, 20000, rng_ref, engine,
-            core::LivenessCheck::kScalarReference);
+            *sys, p, 20000, rng_fast, engine);
+        const auto ref =
+            reference_failure_probability(c, *sys, p, 20000, rng_ref, engine);
         EXPECT_EQ(fast.successes(), ref.successes())
             << sys->name() << " p=" << p << " threads=" << threads;
         EXPECT_EQ(fast.trials(), ref.trials());

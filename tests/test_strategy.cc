@@ -140,24 +140,6 @@ TEST(Strategy, DrawsConsumeExactlyOneWordAndAreDeterministic) {
   EXPECT_EQ(wa, ws);
 }
 
-TEST(Strategy, SamplePathsAgreeWordForWord) {
-  const auto strategy = tiny_strategy();
-  math::Rng r1(99), r2(99), r3(99);
-  quorum::QuorumBitset mask;
-  Quorum into;
-  for (int i = 0; i < 200; ++i) {
-    const Quorum alloc = strategy->sample(r1);
-    strategy->sample_into(into, r2);
-    strategy->sample_mask(mask, r3);
-    Quorum from_mask;
-    mask.to_quorum_into(from_mask);
-    EXPECT_EQ(alloc, into);
-    EXPECT_EQ(alloc, from_mask);
-  }
-  // All three consumed the same number of words.
-  EXPECT_EQ(r1.next(), r2.next());
-}
-
 // ---------------------------------------------------------------------
 // Exact measures vs brute force
 // ---------------------------------------------------------------------
@@ -353,14 +335,13 @@ std::shared_ptr<const Strategy> serving_strategy() {
   return quorum::optimize_strategy(base, workload, options);
 }
 
-std::vector<serve::ShardAggregate> run_strategy_service(
-    std::uint32_t workers, replica::DrawPath path, std::uint64_t ops) {
+std::vector<serve::ShardAggregate> run_strategy_service(std::uint32_t workers,
+                                                       std::uint64_t ops) {
   serve::KvService::Config cfg;
   cfg.shards = 4;
   cfg.workers = workers;
   cfg.queue_capacity = 256;
   cfg.strategy = serving_strategy();
-  cfg.draw_path = path;
   cfg.seed = 31;
   serve::KvService service(std::move(cfg));
   workload::OpenLoopSpec spec;
@@ -382,10 +363,9 @@ std::vector<serve::ShardAggregate> run_strategy_service(
   return service.aggregates();
 }
 
-TEST(StrategyServe, AggregatesBitIdenticalAcrossWorkersAndDrawPaths) {
+TEST(StrategyServe, AggregatesBitIdenticalAcrossWorkers) {
   constexpr std::uint64_t kOps = 3000;
-  using replica::DrawPath;
-  const auto base = run_strategy_service(1, DrawPath::kMask, kOps);
+  const auto base = run_strategy_service(1, kOps);
   ASSERT_EQ(base.size(), 4u);
   std::uint64_t total_draws = 0;
   for (const auto& agg : base) {
@@ -393,15 +373,10 @@ TEST(StrategyServe, AggregatesBitIdenticalAcrossWorkersAndDrawPaths) {
     EXPECT_EQ(agg.strategy_draws, agg.reads + agg.writes);
   }
   EXPECT_EQ(total_draws, kOps);
-  for (const auto& other : {run_strategy_service(8, DrawPath::kMask, kOps),
-                            run_strategy_service(1, DrawPath::kAllocating,
-                                                 kOps),
-                            run_strategy_service(8, DrawPath::kAllocating,
-                                                 kOps)}) {
-    ASSERT_EQ(other.size(), base.size());
-    for (std::size_t s = 0; s < base.size(); ++s) {
-      EXPECT_EQ(base[s], other[s]) << "shard " << s;
-    }
+  const auto other = run_strategy_service(8, kOps);
+  ASSERT_EQ(other.size(), base.size());
+  for (std::size_t s = 0; s < base.size(); ++s) {
+    EXPECT_EQ(base[s], other[s]) << "shard " << s;
   }
   // The checksum is a nontrivial fold, not a constant.
   bool nonzero = false;

@@ -16,8 +16,8 @@
 // under the null — for three churn rates, per the conformance contract.
 //
 // The same schedule is the replay object: shard decompositions of the
-// measurement must be bit-identical across {1, 8} worker threads and both
-// draw paths, so the statistical result is a pure function of the seeds.
+// measurement must be bit-identical across {1, 8} worker threads, so the
+// statistical result is a pure function of the seeds.
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -54,13 +54,11 @@ struct StalenessRun {
 // from Poisson(lambda) via exponential inter-arrivals on the churn stream
 // instead of using the fixed `events_per_pair`.
 StalenessRun run_shard(std::uint32_t events_per_pair, double poisson_lambda,
-                       std::uint64_t pairs, std::uint64_t seed,
-                       DrawPath path) {
+                       std::uint64_t pairs, std::uint64_t seed) {
   InstantCluster::Config cfg;
   cfg.quorums = std::make_shared<core::RandomSubsetSystem>(kN, kQ);
   cfg.seed = seed;
   cfg.churn_seed = seed ^ 0xc4a84e11ULL;
-  cfg.draw_path = path;
   cfg.dynamic_membership = true;
   InstantCluster cluster(cfg);
   StalenessRun run;
@@ -97,13 +95,12 @@ StalenessRun run_shard(std::uint32_t events_per_pair, double poisson_lambda,
 std::vector<StalenessRun> run_shards(std::uint32_t events_per_pair,
                                      double poisson_lambda,
                                      std::uint64_t pairs_per_shard,
-                                     std::uint32_t shards, unsigned threads,
-                                     DrawPath path) {
+                                     std::uint32_t shards, unsigned threads) {
   std::vector<StalenessRun> runs(shards);
   util::WorkerPool pool(threads);
   pool.run(shards, [&](std::uint64_t s) {
     runs[s] = run_shard(events_per_pair, poisson_lambda, pairs_per_shard,
-                        /*seed=*/101 + 1000003 * s, path);
+                        /*seed=*/101 + 1000003 * s);
   });
   return runs;
 }
@@ -190,7 +187,7 @@ TEST(TimedEpsilon, ChurnedStackRespectsTimedEpsilonAtThreeRates) {
     const double gamma = margin_gamma(mu);
     const StalenessRun run = fold(run_shards(
         k, /*poisson_lambda=*/0.0, kPairsPerShard, kShards,
-        /*threads=*/8, DrawPath::kMask));
+        /*threads=*/8));
     EXPECT_LE(static_cast<double>(run.stale), (1.0 + gamma) * mu)
         << "k=" << k << ": observed " << run.stale << " stale reads over "
         << run.pairs << " pairs; eps=" << eps;
@@ -212,7 +209,7 @@ TEST(TimedEpsilon, PoissonChurnRespectsRateEstimator) {
   const double gamma = margin_gamma(mu);
   const StalenessRun run = fold(run_shards(
       /*events_per_pair=*/0, lambda, kPairsPerShard, kShards,
-      /*threads=*/8, DrawPath::kMask));
+      /*threads=*/8));
   EXPECT_LE(static_cast<double>(run.stale), (1.0 + gamma) * mu)
       << "observed " << run.stale << " stale reads over " << run.pairs
       << " pairs; eps=" << eps;
@@ -220,22 +217,17 @@ TEST(TimedEpsilon, PoissonChurnRespectsRateEstimator) {
 }
 
 // The measurement is a replay: per-shard results bit-identical across
-// {1, 8} worker threads and both draw paths.
+// {1, 8} worker threads.
 TEST(TimedEpsilon, MeasurementReplayBitIdentical) {
   constexpr std::uint32_t kShards = 8;
   constexpr std::uint64_t kPairsPerShard = 2000;
   const auto reference = run_shards(8, 0.0, kPairsPerShard, kShards,
-                                    /*threads=*/1, DrawPath::kMask);
+                                    /*threads=*/1);
   for (const unsigned threads : {1u, 8u}) {
-    for (const DrawPath path : {DrawPath::kMask, DrawPath::kAllocating}) {
-      const auto runs =
-          run_shards(8, 0.0, kPairsPerShard, kShards, threads, path);
-      for (std::uint32_t s = 0; s < kShards; ++s) {
-        ASSERT_TRUE(runs[s] == reference[s])
-            << "threads=" << threads
-            << " path=" << (path == DrawPath::kMask ? "mask" : "alloc")
-            << " shard=" << s;
-      }
+    const auto runs = run_shards(8, 0.0, kPairsPerShard, kShards, threads);
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      ASSERT_TRUE(runs[s] == reference[s])
+          << "threads=" << threads << " shard=" << s;
     }
   }
 }
